@@ -136,12 +136,12 @@ module type BACKEND = sig
 
   val create : fast_path:bool -> unit -> t
 
-  val sub_acquire : t -> reader:bool -> Range.t -> handle
+  val acquire : t -> mode:Lockstat.mode -> Range.t -> handle
 
-  val sub_acquire_opt :
-    t -> reader:bool -> deadline_ns:int -> Range.t -> handle option
+  val acquire_opt :
+    t -> mode:Lockstat.mode -> deadline_ns:int -> Range.t -> handle option
 
-  val sub_release : t -> handle -> unit
+  val release : t -> handle -> unit
 
   val try_read_acquire : t -> Range.t -> handle option
 
@@ -156,6 +156,8 @@ module type BACKEND = sig
 end
 
 type regime = Sharded | List
+
+let rw_mode reader = if reader then Lockstat.Read else Lockstat.Write
 
 module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
   module W = Waitq_core.Make (Sim)
@@ -764,7 +766,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
      the node marked). *)
   let release_sub t i sub =
     let r = B.range_of_handle sub in
-    B.sub_release t.shards.(i) sub;
+    B.release t.shards.(i) sub;
     ignore (Sim.A.fetch_and_add t.res.(i) (-1));
     combine_handoff t.comb.(i) ~lo:(Range.lo r) ~hi:(Range.hi r)
 
@@ -778,7 +780,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
        narrow_done t
      | Wide gh ->
        let r = B.range_of_handle gh in
-       B.sub_release t.g gh;
+       B.release t.g gh;
        combine_handoff t.gcomb ~lo:(Range.lo r) ~hi:(Range.hi r)
      | Fast i ->
        (* Free the slot (published -> free, next generation), then wake
@@ -816,7 +818,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     if not (Sim.A.compare_and_set q.state empty claimed) then
       (* Slot aliased by another live domain (> capacity domains): fall
          back to the plain blocking path — always sound. *)
-      B.sub_acquire b ~reader sub
+      B.acquire b ~mode:(rw_mode reader) sub
     else begin
       q.r_reader <- reader;
       q.r_lo <- Range.lo sub;
@@ -883,7 +885,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         if t.combine then
           combine_acquire t ~reader t.gcomb t.g
             ~hslot:(Router.shards t.router) r
-        else B.sub_acquire t.g ~reader r
+        else B.acquire t.g ~mode:(rw_mode reader) r
     in
     ignore (drain_res t ~reader ~blocking:true ~deadline_ns:max_int r);
     let d = dst t in
@@ -908,7 +910,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
             if t.combine then
               combine_acquire t ~reader t.comb.(first) t.shards.(first)
                 ~hslot:first sub
-            else B.sub_acquire t.shards.(first) ~reader sub
+            else B.acquire t.shards.(first) ~mode:(rw_mode reader) sub
         in
         (Single first, h)
       end
@@ -916,7 +918,8 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         let subs = ref [] in
         for i = first to last do
           let sub = Router.clamp t.router i r in
-          subs := (i, B.sub_acquire t.shards.(i) ~reader sub) :: !subs
+          subs :=
+            (i, B.acquire t.shards.(i) ~mode:(rw_mode reader) sub) :: !subs
         done;
         (Narrow (List.rev !subs), no_sub)
       end
@@ -977,9 +980,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     (match t.stats with
      | None -> ()
      | Some s ->
-       Lockstat.add s
-         (if reader then Lockstat.Read else Lockstat.Write)
-         (Clock.now_ns () - t0));
+       Lockstat.add s (rw_mode reader) (Clock.now_ns () - t0));
     h
 
   let read_acquire t r = acquire t ~reader:true r
@@ -1003,7 +1004,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
           Some (mk t ~reader (Wide gh) no_sub)
         end
         else begin
-          B.sub_release t.g gh;
+          B.release t.g gh;
           None
         end
     in
@@ -1116,7 +1117,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         then None
         else begin
           if sampled t then decide t ~wide_op:(wide_of t r);
-          match B.sub_acquire_opt t.g ~reader ~deadline_ns r with
+          match B.acquire_opt t.g ~mode:(rw_mode reader) ~deadline_ns r with
           | None -> None
           | Some gh ->
             if drain_res t ~reader ~blocking:true ~deadline_ns r then begin
@@ -1127,7 +1128,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
             else begin
               (* Deadline expired while narrow holders lived: unwind
                  the g node; nothing else was published. *)
-              B.sub_release t.g gh;
+              B.release t.g gh;
               None
             end
         end
@@ -1140,9 +1141,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
        match t.stats with
        | None -> ()
        | Some s ->
-         Lockstat.add s
-           (if reader then Lockstat.Read else Lockstat.Write)
-           (Clock.now_ns () - t0))
+         Lockstat.add s (rw_mode reader) (Clock.now_ns () - t0))
      | None -> (dst t).c_timeouts <- (dst t).c_timeouts + 1);
     result
 

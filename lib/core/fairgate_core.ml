@@ -44,8 +44,13 @@ module Make (Sim : Traced_atomic.SIM) (RW : Rwlock_core.S) = struct
       invalid_arg "Fairgate.create: patience must be positive";
     { impatient = A.make 0; aux = RW.create (); patience }
 
+  (* Every gate-less acquisition shares this session: [escalate] and
+     [finish] never write to a session without a gate, so sharing it saves
+     an allocation per acquisition. *)
+  let disabled = { gate = None; mode = Disabled }
+
   let start = function
-    | None -> { gate = None; mode = Disabled }
+    | None -> disabled
     | Some g ->
       if A.get g.impatient = 0 then { gate = Some g; mode = Polite }
       else begin

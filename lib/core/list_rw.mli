@@ -78,21 +78,6 @@ val metrics : t -> Metrics.snapshot
 
 val reset_metrics : t -> unit
 
-val sub_acquire : t -> reader:bool -> Range.t -> handle
-(** Lean blocking acquisition for composing frontends (lib/shard): same
-    protocol as {!read_acquire}/{!write_acquire} but skips the
-    Lockstat/History branches — the frontend records both at its own
-    level. *)
-
-val sub_release : t -> handle -> unit
-(** Release counterpart of {!sub_acquire} (skips history recording). *)
-
-val sub_acquire_opt :
-  t -> reader:bool -> deadline_ns:int -> Range.t -> handle option
-(** Deadline-bounded {!sub_acquire}: the timed acquisition protocol of
-    {!read_acquire_opt} minus the Lockstat/History branches. [None] leaves
-    no residual state. *)
-
 val drain_conflicts :
   t -> reader:bool -> blocking:bool -> deadline_ns:int -> Range.t -> bool
 (** Wait (or, non-blocking, test) until no live node conflicts with [r] in

@@ -10,23 +10,17 @@ module Waitboard = Rlk_chaos.Waitboard
    instance per explored run, which is how the insert/validate races the
    paper reasons about informally get explored exhaustively.
 
+   The protocol (insert, validate, mark, help-unlink) is written once, in
+   [Make_located], over a {e locator}: the component that decides where a
+   walk starts. [Make] uses the plain one (every walk starts at the head);
+   the skip-index core (lib/index) supplies a tower locator whose walks
+   start at the last node below the conflict window, and so is this same
+   body plus an index.
+
    Atomic accesses on the head and node links go through [Sim.A] (the
    scheduling points); waits go through [Sim.wait_until]. Metrics, chaos
    fault points, history recording and the waitboard stay concrete —
    observation-only facilities the checker need not interleave. *)
-
-(* Chaos injection points (see doc/robustness.md). The [.skip] points are
-   deliberately unsound — they disable a validation scan, breaking
-   reader/writer exclusion detectably — and fire only when a chaos plan
-   lists them as unsound (the torture harness's and the model checker's
-   catch-a-real-bug self tests). Top-level so every instantiation shares
-   the same registered points. *)
-let fp_insert_cas = Fault.point "list_rw.insert_cas"
-let fp_overlap_wait = Fault.point "list_rw.overlap_wait"
-let fp_release = Fault.point "list_rw.release"
-let fp_r_validate_skip = Fault.point "list_rw.r_validate.skip"
-let fp_w_validate_skip = Fault.point "list_rw.w_validate.skip"
-let fp_conflict_wait_skip = Fault.point "list_rw.conflict_wait.skip"
 
 (* Unsound skip (same point as list_mutex_core): drop the release-side
    wake of parked waiters — the lost-wakeup bug class. See the chaos
@@ -35,17 +29,70 @@ let fp_wake_skip = Fault.point "parker.wake.skip"
 
 type preference = Prefer_readers | Prefer_writers
 
-module Make
+(* Where walks start, and the index maintenance around a grant. [cell] is
+   a node's (or the head's) link cell. The hooks run at fixed points of
+   the protocol:
+   - [before_insert] before the acquirer's node can link;
+   - [start] gives the cell the insert walk, its restarts and the writer
+     validation scan begin at. Every node that could conflict with [node]
+     and was linked before the call must lie past that cell;
+   - [granted] after a grant, outside the epoch;
+   - [releasing] at release, before the node is marked. *)
+module type LOCATOR = sig
+  type node
+
+  type cell
+
+  type t
+
+  val name : string
+  (** Lock name (history, waitboard); with '-' read as '_', also the
+      prefix of the lock's chaos points. *)
+
+  val create : unit -> t
+
+  val head : t -> cell
+
+  val before_insert : t -> Range.t -> unit
+
+  val start : t -> node -> cell
+
+  val granted : t -> node -> unit
+
+  val releasing : t -> node -> unit
+end
+
+module Make_located
     (Sim : Traced_atomic.SIM)
     (N : Node_core.S with type 'a aref = 'a Sim.A.t)
-    (G : Fairgate_core.S) =
+    (G : Fairgate_core.S)
+    (L : LOCATOR with type node := N.t and type cell := N.link Sim.A.t) =
 struct
   type nonrec preference = preference = Prefer_readers | Prefer_writers
 
   module W = Waitq_core.Make (Sim)
 
+  let name = L.name
+
+  (* Chaos injection points (see doc/robustness.md). The [.skip] points
+     are deliberately unsound — they disable a validation scan, breaking
+     reader/writer exclusion detectably — and fire only when a chaos plan
+     lists them as unsound (the torture harness's and the model checker's
+     catch-a-real-bug self tests). [Fault.point] dedupes by name, so every
+     instantiation of one locator shares the same registered points. *)
+  let fp point =
+    Fault.point (String.map (function '-' -> '_' | c -> c) name ^ "." ^ point)
+
+  let fp_insert_cas = fp "insert_cas"
+  let fp_overlap_wait = fp "overlap_wait"
+  let fp_release = fp "release"
+  let fp_r_validate_skip = fp "r_validate.skip"
+  let fp_w_validate_skip = fp "w_validate.skip"
+  let fp_conflict_wait_skip = fp "conflict_wait.skip"
+
   type t = {
     head : N.link Sim.A.t;
+    index : L.t;
     fast_path : bool;
     prefer : preference;
     park : bool;  (* park blocking waiters (default) or pure-spin *)
@@ -58,16 +105,13 @@ struct
 
   type handle = N.t
 
-  let name = "list-rw"
-
   let create ?stats ?(fast_path = false) ?fairness ?(prefer = Prefer_readers)
       ?(park = true) () =
     let board = Waitboard.create ~name in
     if Rlk_chaos.Watchdog.auto_watch () then Rlk_chaos.Watchdog.watch board;
-    (* The head is the hottest word of the lock: isolate it so concurrent
-       acquisitions on *other* locks (e.g. neighbouring shards of
-       Rlk_shard) never invalidate its cache line. *)
-    { head = Sim.A.make_contended N.nil;
+    let index = L.create () in
+    { head = L.head index;
+      index;
       fast_path;
       prefer;
       park;
@@ -80,7 +124,8 @@ struct
   exception Out_of_budget
   exception Would_block
   exception Validation_failed
-  exception Timed_out
+  exception Timed_out  (* before our node linked: recycle it directly *)
+  exception Timed_out_linked  (* after: unwind by mark-and-retreat *)
 
   (* History hooks for the verification oracle (lib/check): live only when
      the lock carries the [?stats] observability hook AND recording is
@@ -246,11 +291,11 @@ struct
       let l = Sim.A.get node.N.next in
       go node.N.next l.N.succ
 
-  (* Writer validation (Listing 3, [w_validate]): rescan from the head
-     until we meet our own node. Under reader preference, meeting an
-     overlapping (necessarily reader) node first means we delete ourselves
-     and fail; under writer preference, we wait for that reader to leave
-     instead. *)
+  (* Writer validation (Listing 3, [w_validate]): rescan from the
+     locator's start cell (the head, for the plain list) until we meet our
+     own node. Under reader preference, meeting an overlapping
+     (necessarily reader) node first means we delete ourselves and fail;
+     under writer preference, we wait for that reader to leave instead. *)
   let w_validate t node ~blocking ~deadline_ns =
     if Atomic.get Fault.enabled && Fault.skip fp_w_validate_skip then ()
     else
@@ -282,21 +327,21 @@ struct
               raise Validation_failed
             end
       in
-      let l = Sim.A.get t.head in
-      go t.head l.N.succ
+      let start = L.start t.index node in
+      go start (Sim.A.get start).N.succ
 
-  (* One insertion-plus-validation attempt; runs inside the epoch. [linked]
-     is set once the insertion CAS succeeds, so a timed-out caller knows
-     whether to mark-and-retreat (linked) or recycle directly (not). *)
-  let try_insert t session node failures ~blocking ~deadline_ns ~linked =
+  (* One insertion-plus-validation attempt; runs inside the epoch. A
+     deadline expiring after the insertion CAS surfaces as
+     [Timed_out_linked], so a timed-out caller knows whether to
+     mark-and-retreat (linked) or recycle directly (not). *)
+  let try_insert t session node failures ~blocking ~deadline_ns =
     let fail_event () =
       incr failures;
       if G.failures_exceeded session ~failures:!failures then
         raise Out_of_budget;
       if not blocking then raise Would_block
     in
-    let rec from_head () = traverse t.head
-    and traverse prev =
+    let rec traverse prev =
       let l = Sim.A.get prev in
       if l.N.marked then
         if prev == t.head then begin
@@ -307,7 +352,7 @@ struct
         else begin
           Metrics.restart t.metrics;
           fail_event ();
-          from_head ()
+          traverse (L.start t.index node)
         end
       else
         match l.N.succ with
@@ -352,9 +397,12 @@ struct
          && Sim.A.compare_and_set prev expected
               (N.link ~marked:false (Some node))
       then begin
-        linked := true;
-        if node.N.reader then r_validate t node ~blocking ~deadline_ns
-        else w_validate t node ~blocking ~deadline_ns
+        match
+          if node.N.reader then r_validate t node ~blocking ~deadline_ns
+          else w_validate t node ~blocking ~deadline_ns
+        with
+        | () -> ()
+        | exception Timed_out -> raise Timed_out_linked
       end
       else begin
         Metrics.cas_failure t.metrics;
@@ -362,7 +410,7 @@ struct
         traverse prev
       end
     in
-    from_head ()
+    traverse (L.start t.index node)
 
   let fast_path_acquire t node =
     t.fast_path
@@ -375,192 +423,108 @@ struct
   (* Blocking acquisition: loops on validation failures (fresh node each
      retry, as in Listing 2's do-while) and escalates through the fairness
      gate when the failure budget runs out. *)
-  let acquire_blocking t session ~node r =
-    let reader = node.N.reader in
-    let failures = ref 0 in
-    let rec attempt node =
-      if fast_path_acquire t node then begin
-        Metrics.fast_path_hit t.metrics;
-        node
-      end
-      else begin
-        N.epoch_enter ();
-        match
-          try_insert t session node failures ~blocking:true
-            ~deadline_ns:max_int ~linked:(ref false)
-        with
-        | () -> N.epoch_leave (); node
-        | exception Validation_failed ->
-          N.epoch_leave ();
-          incr failures;
-          if G.failures_exceeded session ~failures:!failures then begin
-            Metrics.escalation t.metrics;
-            G.escalate session
-          end;
-          (* The abandoned node is still linked (marked); others unlink and
-             recycle it. Start over with a fresh one. *)
-          attempt (N.alloc ~reader r)
-        | exception Out_of_budget ->
-          N.epoch_leave ();
+  let rec acquire_blocking t session failures r node =
+    if fast_path_acquire t node then begin
+      Metrics.fast_path_hit t.metrics;
+      node
+    end
+    else begin
+      N.epoch_enter ();
+      match
+        try_insert t session node failures ~blocking:true ~deadline_ns:max_int
+      with
+      | () -> N.epoch_leave (); node
+      | exception Validation_failed ->
+        N.epoch_leave ();
+        incr failures;
+        if G.failures_exceeded session ~failures:!failures then begin
           Metrics.escalation t.metrics;
-          G.escalate session;
-          attempt node
-        | exception e -> N.epoch_leave (); raise e
-      end
-    in
-    attempt node
+          G.escalate session
+        end;
+        (* The abandoned node is still linked (marked); others unlink and
+           recycle it. Start over with a fresh one. *)
+        acquire_blocking t session failures r (N.alloc ~reader:node.N.reader r)
+      | exception Out_of_budget ->
+        N.epoch_leave ();
+        Metrics.escalation t.metrics;
+        G.escalate session;
+        acquire_blocking t session failures r node
+      | exception e -> N.epoch_leave (); raise e
+    end
+
+  (* Grant epilogue shared by every acquisition path: the locator's
+     post-grant hook (outside the epoch), then the history record. *)
+  let granted t node =
+    L.granted t.index node;
+    hist_acquired t node
+
+  let add_wait t mode t0 =
+    match t.stats with
+    | None -> ()
+    | Some s -> Lockstat.add s mode (Clock.now_ns () - t0)
 
   let acquire t ~mode r =
     let reader =
       match mode with Lockstat.Read -> true | Lockstat.Write -> false
     in
     let t0 = match t.stats with None -> 0 | Some _ -> Clock.now_ns () in
+    L.before_insert t.index r;
     (* Try the empty-list fast path before opening a fairness session: the
        session (and the retry machinery behind it) only matters once we
        have to insert into a non-empty list, and skipping it keeps the fast
        path allocation-light. *)
     let node = N.alloc ~reader r in
-    if fast_path_acquire t node then begin
-      Metrics.fast_acquisition t.metrics;
-      hist_acquired t node;
-      (match t.stats with
-       | None -> ()
-       | Some s -> Lockstat.add s mode (Clock.now_ns () - t0));
-      node
-    end
-    else begin
-      let session = G.start t.gate in
-      let node = acquire_blocking t session ~node r in
-      G.finish session;
-      Metrics.acquisition t.metrics;
-      hist_acquired t node;
-      (match t.stats with
-       | None -> ()
-       | Some s -> Lockstat.add s mode (Clock.now_ns () - t0));
-      node
-    end
+    let node =
+      if fast_path_acquire t node then begin
+        Metrics.fast_acquisition t.metrics;
+        node
+      end
+      else begin
+        let session = G.start t.gate in
+        let node = acquire_blocking t session (ref 0) r node in
+        G.finish session;
+        Metrics.acquisition t.metrics;
+        node
+      end
+    in
+    granted t node;
+    add_wait t mode t0;
+    node
 
   let read_acquire t r = acquire t ~mode:Lockstat.Read r
 
   let write_acquire t r = acquire t ~mode:Lockstat.Write r
 
-  (* Lean entry points for a composing frontend (lib/shard) whose sub-locks
-     carry no Lockstat and record no history — the frontend owns both, so
-     the per-acquisition stats/history branches of [acquire]/[release] are
-     dead weight on a path taken once per shard per operation. Metrics and
-     chaos fault points stay: observability and fault coverage do not
-     depend on which layer drove the acquisition. *)
-  let sub_acquire t ~reader r =
+  let try_acquire_nb t ~reader r =
+    let mode = if reader then Lockstat.Read else Lockstat.Write in
+    L.before_insert t.index r;
     let node = N.alloc ~reader r in
     if fast_path_acquire t node then begin
       Metrics.fast_acquisition t.metrics;
-      node
-    end
-    else begin
-      let session = G.start t.gate in
-      let node = acquire_blocking t session ~node r in
-      G.finish session;
-      Metrics.acquisition t.metrics;
-      node
-    end
-
-  let sub_release t node =
-    if Atomic.get Fault.enabled then Fault.delay fp_release;
-    if t.fast_path then begin
-      let l = Sim.A.get t.head in
-      if l.N.marked && N.succ_is l node
-         && Sim.A.compare_and_set t.head l N.nil
-      then begin
-        (* Eagerly removed, but a wide (drain) waiter may be parked on the
-           head link changing: wake before the node recycles. *)
-        wake_released t node;
-        N.retire node
-      end
-      else begin
-        mark_deleted node;
-        wake_released t node
-      end
-    end
-    else begin
-      mark_deleted node;
-      wake_released t node
-    end
-
-  (* Deadline-bounded companion to [sub_acquire] (PR 9): the adaptive
-     frontend funnels every timed acquisition through its global list,
-     which needs the unwind-on-timeout machinery of [acquire_opt] without
-     the stats/history bookkeeping the frontend already owns. Same
-     contract as [read/write_acquire_opt]: [None] leaves no residual
-     state behind. *)
-  let sub_acquire_opt t ~reader ~deadline_ns r =
-    let session = G.start None in
-    let rec attempt node =
-      if fast_path_acquire t node then begin
-        Metrics.fast_path_hit t.metrics;
-        Some node
-      end
-      else begin
-        let linked = ref false in
-        N.epoch_enter ();
-        match
-          try_insert t session node (ref 0) ~blocking:true ~deadline_ns
-            ~linked
-        with
-        | () -> N.epoch_leave (); Some node
-        | exception Validation_failed ->
-          N.epoch_leave ();
-          if deadline_ns <> max_int && Clock.now_ns () > deadline_ns then None
-          else attempt (N.alloc ~reader r)
-        | exception Timed_out ->
-          N.epoch_leave ();
-          if !linked then begin
-            mark_deleted node;
-            wake_released t node
-          end
-          else N.retire node;
-          None
-        | exception e -> N.epoch_leave (); raise e
-      end
-    in
-    let result = attempt (N.alloc ~reader r) in
-    G.finish session;
-    (match result with
-     | Some _ -> Metrics.acquisition t.metrics
-     | None -> Metrics.timeout t.metrics);
-    result
-
-  let try_acquire_nb t ~reader r =
-    let session = G.start None in
-    let node = N.alloc ~reader r in
-    if fast_path_acquire t node then begin
-      Metrics.fast_path_hit t.metrics;
-      Metrics.acquisition t.metrics;
-      hist_acquired t node;
+      granted t node;
       Some node
     end
     else begin
       N.epoch_enter ();
       match
-        try_insert t session node (ref 0) ~blocking:false ~deadline_ns:max_int
-          ~linked:(ref false)
+        try_insert t (G.start None) node (ref 0) ~blocking:false
+          ~deadline_ns:max_int
       with
       | () ->
         N.epoch_leave ();
         Metrics.acquisition t.metrics;
-        hist_acquired t node;
+        granted t node;
         Some node
       | exception Would_block ->
         N.epoch_leave ();
         (* Never linked: recycle directly. *)
         N.retire node;
-        hist_failed t ~mode:(if reader then Lockstat.Read else Lockstat.Write)
-          r;
+        hist_failed t ~mode r;
         None
       | exception Validation_failed ->
         (* Linked then self-deleted; others will unlink it. *)
         N.epoch_leave ();
-        hist_failed t ~mode:(if reader then Lockstat.Read else Lockstat.Write)
-          r;
+        hist_failed t ~mode r;
         None
       | exception e -> N.epoch_leave (); raise e
     end
@@ -570,9 +534,10 @@ struct
   let try_write_acquire t r = try_acquire_nb t ~reader:false r
 
   (* Deadline-bounded acquisition. Validation failures retry with a fresh
-     node (as in the blocking path) while the deadline allows; [Timed_out]
-     unwinds by mark-and-retreat when the node is linked — exactly the
-     release mechanism — and by direct recycling when it never was. No
+     node (as in the blocking path) while the deadline allows; a timeout
+     unwinds by mark-and-retreat when the node is linked
+     ([Timed_out_linked]) — exactly the release mechanism — and by direct
+     recycling when it never was ([Timed_out]). No
      fairness escalation: the impatient mode's auxiliary lock cannot honour
      a deadline. *)
   let acquire_opt t ~mode ~deadline_ns r =
@@ -580,6 +545,7 @@ struct
       match mode with Lockstat.Read -> true | Lockstat.Write -> false
     in
     let t0 = match t.stats with None -> 0 | Some _ -> Clock.now_ns () in
+    L.before_insert t.index r;
     let session = G.start None in
     let rec attempt node =
       if fast_path_acquire t node then begin
@@ -587,11 +553,9 @@ struct
         Some node
       end
       else begin
-        let linked = ref false in
         N.epoch_enter ();
         match
           try_insert t session node (ref 0) ~blocking:true ~deadline_ns
-            ~linked
         with
         | () -> N.epoch_leave (); Some node
         | exception Validation_failed ->
@@ -602,24 +566,22 @@ struct
           else attempt (N.alloc ~reader r)
         | exception Timed_out ->
           N.epoch_leave ();
-          if !linked then begin
-            mark_deleted node;
-            wake_released t node
-          end
-          else N.retire node;
+          N.retire node;
+          None
+        | exception Timed_out_linked ->
+          N.epoch_leave ();
+          mark_deleted node;
+          wake_released t node;
           None
         | exception e -> N.epoch_leave (); raise e
       end
     in
     let result = attempt (N.alloc ~reader r) in
-    G.finish session;
     (match result with
      | Some node ->
        Metrics.acquisition t.metrics;
-       hist_acquired t node;
-       (match t.stats with
-        | None -> ()
-        | Some s -> Lockstat.add s mode (Clock.now_ns () - t0))
+       granted t node;
+       add_wait t mode t0
      | None ->
        Metrics.timeout t.metrics;
        hist_failed t ~mode r);
@@ -634,18 +596,15 @@ struct
   let release t node =
     hist_released node;
     if Atomic.get Fault.enabled then Fault.delay fp_release;
-    if t.fast_path then begin
-      let l = Sim.A.get t.head in
-      if l.N.marked && N.succ_is l node
-         && Sim.A.compare_and_set t.head l N.nil
-      then begin
-        wake_released t node;
-        N.retire node
-      end
-      else begin
-        mark_deleted node;
-        wake_released t node
-      end
+    L.releasing t.index node;
+    let l = if t.fast_path then Sim.A.get t.head else N.nil in
+    if l.N.marked && N.succ_is l node && Sim.A.compare_and_set t.head l N.nil
+    then begin
+      (* Eagerly removed from the head, but a wide (drain) waiter may be
+         parked on the head link changing: wake before the node
+         recycles. *)
+      wake_released t node;
+      N.retire node
     end
     else begin
       mark_deleted node;
@@ -773,3 +732,31 @@ struct
         in
         walk (Sim.A.get t.head) [])
 end
+
+(* The plain list: the locator's state is the head cell itself, and every
+   walk starts there. *)
+module Make
+    (Sim : Traced_atomic.SIM)
+    (N : Node_core.S with type 'a aref = 'a Sim.A.t)
+    (G : Fairgate_core.S) =
+  Make_located (Sim) (N) (G)
+    (struct
+      type t = N.link Sim.A.t
+
+      let name = "list-rw"
+
+      (* The head is the hottest word of the lock: isolate it so concurrent
+         acquisitions on *other* locks (e.g. neighbouring shards of
+         Rlk_shard) never invalidate its cache line. *)
+      let create () = Sim.A.make_contended N.nil
+
+      let head t = t
+
+      let before_insert _ _ = ()
+
+      let start t _ = t
+
+      let granted _ _ = ()
+
+      let releasing _ _ = ()
+    end)

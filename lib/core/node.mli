@@ -31,6 +31,9 @@ type t = {
       (** cached [{marked = true; succ = Some self}], the value the
           empty-list fast path CASes into the head — allocated once per
           node rather than once per acquisition *)
+  tower : t option aref array;
+      (** index tower cells (the skip-index core's hint levels); the shared
+          empty array for list nodes *)
 }
 
 and link = { marked : bool; succ : t option }

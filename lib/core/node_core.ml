@@ -19,6 +19,7 @@ module type S = sig
     mutable span : int;
     next : link aref;
     mutable self_link : link;
+    tower : t option aref array;
   }
 
   and link = { marked : bool; succ : t option }
@@ -43,13 +44,19 @@ module type S = sig
 end
 
 (* Generative ([()]): applying the functor creates the instance's own
-   epoch and pool state. *)
-module Make
+   epoch and pool state. [tower_cells] sizes each node's index tower (the
+   skip-index core's hint levels above the list); list nodes use [0] and
+   share the one empty array, so the tower costs them one field. Pooled
+   nodes keep every tower cell [None]: the index clears a node's tower
+   before the node can be marked, so [alloc] needs no tower scrub. *)
+module Make_towered
     (Sim : Traced_atomic.SIM)
     (Epoch : Rlk_ebr.Epoch_core.S)
     (Pool : Rlk_ebr.Pool_core.S with type epoch = Epoch.t)
     (Cfg : sig
        val pool_target : int
+
+       val tower_cells : int
      end)
     () =
 struct
@@ -62,6 +69,7 @@ struct
     mutable span : int;
     next : link aref;
     mutable self_link : link;
+    tower : t option aref array;  (* cell [l-1] holds index level [l] *)
   }
 
   and link = { marked : bool; succ : t option }
@@ -90,7 +98,8 @@ struct
   let fresh () =
     let n =
       { lo = 0; hi = 1; reader = false; span = -1; next = Sim.A.make nil;
-        self_link = nil }
+        self_link = nil;
+        tower = Array.init Cfg.tower_cells (fun _ -> Sim.A.make None) }
     in
     n.self_link <- { marked = true; succ = Some n };
     n
@@ -112,3 +121,19 @@ struct
 
   let pool_stats () = Pool.stats pool
 end
+
+module Make
+    (Sim : Traced_atomic.SIM)
+    (Epoch : Rlk_ebr.Epoch_core.S)
+    (Pool : Rlk_ebr.Pool_core.S with type epoch = Epoch.t)
+    (Cfg : sig
+       val pool_target : int
+     end)
+    () =
+  Make_towered (Sim) (Epoch) (Pool)
+    (struct
+      include Cfg
+
+      let tower_cells = 0
+    end)
+    ()

@@ -1,19 +1,24 @@
 (** Skip-index reader-writer range lock.
 
-    Same grant semantics as {!Rlk.List_rw} with the paper's default
-    reader preference — overlapping writers exclude everything,
+    The {!Rlk.List_rw} protocol — the same core code, with the paper's
+    default reader preference: overlapping writers exclude everything,
     overlapping readers share, reader validation waits out writers,
-    writer validation retreats on any overlap — but the live ranges are
-    additionally indexed by a coin-flip multi-level tower, so locating
-    the insertion point and conflict window is O(log n) in the number of
-    concurrently held ranges instead of a head-to-position list walk.
-    The bottom level is the paper's marked-link list protocol verbatim
-    and remains the authoritative structure; towers are hints, mutated
-    only under a per-lock guard and read lock-free. Conflict waits park
-    on the shared waiter queue; nodes are reclaimed through EBR.
+    writer validation retreats on any overlap — instantiated with a
+    tower locator. The live ranges are additionally indexed by a
+    coin-flip multi-level tower, and every walk starts at the
+    tower-descended predecessor of the conflict window (bounded by the
+    widest range ever granted) instead of the head. Locating the
+    insertion point and conflict window is therefore O(log n) in the
+    number of concurrently held ranges instead of a head-to-position
+    list walk. The bottom level remains the authoritative structure;
+    towers are hints, mutated only under a per-lock guard and read
+    lock-free. Conflict waits park on the shared waiter queue; nodes are
+    reclaimed through EBR.
 
-    Blocked acquisitions park (see {!Rlk_primitives.Parker}); pass
-    [~park:false] for the pure-spin ablation. *)
+    Unlike {!Rlk.List_rw} there is no empty-list fast path, no fairness
+    gate and no writer preference. Blocked acquisitions park (see
+    {!Rlk_primitives.Parker}); pass [~park:false] for the pure-spin
+    ablation. *)
 
 type t
 

@@ -1,72 +1,59 @@
 open Rlk_primitives
 module Fault = Rlk_chaos.Fault
-module Waitboard = Rlk_chaos.Waitboard
 module Range = Rlk.Range
-module Metrics = Rlk.Metrics
-module History = Rlk.History
 
-(* Functorized body of {!Skip_rw}: a reader-writer range lock with the
-   same grant semantics as {!Rlk.List_rw} (the paper's Section 4.2
-   insert-then-validate protocol, reader preference) but with the live
-   ranges additionally indexed by a multi-level tower, so locating the
+(* Functorized body of {!Skip_rw}: the list core ({!Rlk.List_rw_core})
+   instantiated with a tower locator. The grant semantics are
+   {!Rlk.List_rw}'s with the paper's default reader preference (Section
+   4.2's insert-then-validate protocol); the locator only changes where
+   the insert walk and the writer validation scan start, so locating the
    insertion/conflict window costs O(log n) in the number of live ranges
    instead of a head-to-position list walk.
 
    Layering:
 
-   - Level 0 (the "bottom") is a sorted-by-[lo] linked list with marked
-     links — byte-for-byte the paper's protocol: insert with CAS,
-     validate (readers scan forward and wait out writers; writers scan
-     their window and self-abort on overlap), mark-and-retreat, helper
-     unlink + EBR retire. The bottom list is the *authoritative*
+   - Level 0 (the "bottom") is the list core's marked-link list, run by
+     the list core's own code: insert with CAS, validate, mark-and-
+     retreat, helper unlink + EBR retire. It is the *authoritative*
      structure: every correctness argument of the list lock carries over
-     unchanged.
+     unchanged, and a protocol fix lands in both locks at once.
 
    - Levels 1..max_level-1 are hint towers over a suffix of the bottom
-     nodes (coin-flip height, as in lib/skiplist). Towers only
-     accelerate the descent to the conflict window; a stale or missing
-     tower entry can never grant a wrong lock, only slow a walk. All
-     tower *mutations* are serialized by a per-lock writer mutex, making
-     the hint layers single-writer: plain stores, no per-level CAS loops,
-     and — crucially — no resurrection hazard where a racing unlinker
-     re-installs a pointer to a node that has already been retired.
-     Tower *reads* (the descent) stay lock-free.
+     nodes (coin-flip height, as in lib/skiplist), kept in the nodes'
+     [tower] cells. Towers only accelerate the descent to the conflict
+     window; a stale or missing tower entry can never grant a wrong lock,
+     only slow a walk. All tower *mutations* are serialized by a per-lock
+     writer mutex, making the hint layers single-writer: plain stores, no
+     per-level CAS loops, and — crucially — no resurrection hazard where a
+     racing unlinker re-installs a pointer to a node that has already
+     been retired. Tower *reads* (the descent) stay lock-free.
 
    - The conflict window is bounded by [maxw], a monotone maximum of all
      granted widths: a node whose [lo] is below [node.lo - maxw] cannot
      overlap [node], so both the insert walk and the writer validation
      start at the tower-descended predecessor of that window instead of
-     the head. [maxw] is re-read on every scan, and it is raised
-     *before* the requesting node can link, so a scan that must see a
-     conflicting node always uses a window wide enough to contain it.
+     the head. [maxw] is re-read on every scan, and it is raised (the
+     locator's [before_insert]) before the requesting node can link, so a
+     scan that must see a conflicting node always uses a window wide
+     enough to contain it.
 
-   - Reclamation order on release: tower unlink (under the guard) comes
-     strictly *before* the bottom mark. Helper unlinks at the bottom
-     only ever see marked nodes, and a marked node is guaranteed to be
-     out of every tower — so the existing unlink-then-retire flow of the
-     list protocol remains safe, and EBR pins protect concurrent
-     descents exactly as they protect list walks.
+   - Reclamation order on release: tower unlink (the locator's
+     [releasing], under the guard) comes strictly *before* the bottom
+     mark. Helper unlinks at the bottom only ever see marked nodes, and a
+     marked node is guaranteed to be out of every tower — so the list
+     core's unlink-then-retire flow remains safe, and EBR pins protect
+     concurrent descents exactly as they protect list walks.
 
-   Functorized over {!Traced_atomic.SIM} like the other cores: the
-   production instance runs on {!Traced_atomic.Real}; the model checker
-   instantiates a fresh stack per explored run (constant tower height,
-   two levels) and explores the insert/validate/tower interleavings
-   exhaustively. *)
+   The instance fixes the list core's options: no empty-list fast path
+   (a head-marked holder would bypass the towers), no fairness gate, and
+   reader preference. Functorized over {!Traced_atomic.SIM} like the
+   other cores: the production instance runs on {!Traced_atomic.Real};
+   the model checker instantiates a fresh stack per explored run
+   (constant tower height, two levels) and explores the insert/validate/
+   tower interleavings exhaustively. The list core registers this lock's
+   chaos points under [skip_rw.*]; [skip_rw.tower] is the index's own. *)
 
-(* Chaos injection points, mirroring the list core's (doc/robustness.md).
-   The [.skip] points are deliberately unsound and fire only when a plan
-   lists them — the DPOR mutation self-test arms [skip_rw.w_validate.skip]
-   and demands a replayable counterexample. *)
-let fp_insert_cas = Fault.point "skip_rw.insert_cas"
-let fp_overlap_wait = Fault.point "skip_rw.overlap_wait"
-let fp_release = Fault.point "skip_rw.release"
 let fp_tower = Fault.point "skip_rw.tower"
-let fp_r_validate_skip = Fault.point "skip_rw.r_validate.skip"
-let fp_w_validate_skip = Fault.point "skip_rw.w_validate.skip"
-let fp_conflict_wait_skip = Fault.point "skip_rw.conflict_wait.skip"
-
-(* Shared with the parker/list cores: drop a release-side wake. *)
-let fp_wake_skip = Fault.point "parker.wake.skip"
 
 module type CFG = sig
   val max_level : int
@@ -90,641 +77,248 @@ module Make
     (Cfg : CFG)
     () =
 struct
-  module W = Waitq_core.Make (Sim)
   module Guard = Rwlock_core.Make (Sim)
 
   let tower_cells = Cfg.max_level - 1
 
-  type node = {
-    mutable lo : int;
-    mutable hi : int;
-    mutable reader : bool;
-    mutable span : int;  (* history span id, -1 when not recording *)
-    mutable top : int;   (* tower cells currently linked (0 = bottom only) *)
-    bottom : link Sim.A.t;
-    tower : node option Sim.A.t array;  (* cell [l-1] holds level [l] *)
-  }
+  module N =
+    Rlk.Node_core.Make_towered (Sim) (Epoch) (Pool)
+      (struct
+        let pool_target = Cfg.pool_target
 
-  and link = { marked : bool; succ : node option }
+        let tower_cells = tower_cells
+      end)
+      ()
 
-  let nil = { marked = false; succ = None }
+  (* Ends every tower level, so a linked tower cell always holds [Some]: a
+     node's linked cells are exactly its leading [Some] cells, and the
+     node record needs no height field. [lo = max_int] stops every walk
+     before it. *)
+  let tail =
+    { N.lo = max_int; hi = max_int; reader = false; span = -1;
+      next = Sim.A.make N.nil; self_link = N.nil; tower = [||] }
 
-  let link ~marked succ = { marked; succ }
+  module Tower = struct
+    type t = {
+      sentinel : N.t;  (* [lo = hi = min_int], never marked, full tower *)
+      maxw : int Sim.A.t;  (* monotone max of all granted widths *)
+      guard : Guard.t;  (* serializes every tower mutation *)
+    }
 
-  let succ_is l n = match l.succ with Some m -> m == n | None -> false
+    let name = "skip-rw"
 
-  let range_of n = Range.v ~lo:n.lo ~hi:n.hi
+    let create () =
+      { sentinel =
+          { N.lo = min_int; hi = min_int; reader = false; span = -1;
+            next = Sim.A.make_contended N.nil; self_link = N.nil;
+            tower = Array.init tower_cells (fun _ -> Sim.A.make (Some tail)) };
+        maxw = Sim.A.make_contended 1;
+        guard = Guard.create () }
 
-  (* ---- node pool (EBR) ---- *)
+    let head t = t.sentinel.N.next
 
-  let epoch = Epoch.create ()
+    (* ---- conflict window ----
 
-  let fresh () =
-    { lo = 0; hi = 1; reader = false; span = -1; top = 0;
-      bottom = Sim.A.make nil;
-      tower = Array.init tower_cells (fun _ -> Sim.A.make None) }
+       [maxw] only grows, and it is raised to at least a node's width
+       before that node can link. So for any linked node [c]:
+       [c.hi <= c.lo + maxw] holds whenever [maxw] is read *after* [c]
+       linked — which every walk does, because [start] re-reads [maxw]
+       each time. Hence nodes with [lo < node.lo - maxw] cannot overlap
+       [node], and walks may start at the last node below that window;
+       any node concurrently inserted behind the start with a smaller
+       [lo] precedes [node] by the same bound. Ranges are non-negative
+       ([Range.v] demands [0 <= lo]), so the subtraction cannot underflow
+       below [min_int + 1] and the sentinel ([lo = min_int]) always
+       precedes every window. *)
+    let rec before_insert t r =
+      let w = Range.hi r - Range.lo r in
+      let cur = Sim.A.get t.maxw in
+      if w > cur && not (Sim.A.compare_and_set t.maxw cur w) then
+        before_insert t r
 
-  let pool = Pool.create ~target:Cfg.pool_target ~alloc:fresh epoch
+    (* ---- tower descent (lock-free, inside the caller's epoch) ----
 
-  (* Invariant on pooled nodes: [top = 0] and every tower cell is [None].
-     Granted nodes clear their tower (under the guard) before the bottom
-     mark, and aborted/timed-out nodes never build one, so [alloc] needs
-     no tower scrub. *)
-  let alloc ~reader r =
-    let n = Pool.get pool in
-    n.lo <- Range.lo r;
-    n.hi <- Range.hi r;
-    n.reader <- reader;
-    n.span <- -1;
-    n.top <- 0;
-    if Sim.A.get n.bottom != nil then Sim.A.set n.bottom nil;
-    n
-
-  let retire n = Pool.retire pool n
-
-  type t = {
-    head : node;  (* sentinel: [lo = hi = min_int], never marked *)
-    maxw : int Sim.A.t;  (* monotone max of all granted widths *)
-    guard : Guard.t;  (* serializes every tower mutation *)
-    park : bool;
-    stats : Lockstat.t option;
-    metrics : Metrics.t;
-    board : Waitboard.t;
-    waitq : W.t;
-  }
-
-  type handle = node
-
-  let name = "skip-rw"
-
-  let create ?stats ?(park = true) () =
-    let board = Waitboard.create ~name in
-    if Rlk_chaos.Watchdog.auto_watch () then Rlk_chaos.Watchdog.watch board;
-    { head =
-        { lo = min_int; hi = min_int; reader = false; span = -1;
-          top = tower_cells;
-          bottom = Sim.A.make_contended nil;
-          tower = Array.init tower_cells (fun _ -> Sim.A.make None) };
-      maxw = Sim.A.make_contended 1;
-      guard = Guard.create ();
-      park;
-      stats;
-      metrics = Metrics.create ();
-      board;
-      waitq = W.create () }
-
-  exception Would_block
-  exception Validation_failed
-  exception Timed_out
-
-  (* ---- history hooks (identical to the list core's) ---- *)
-
-  let hist_acquired t (node : node) =
-    if Atomic.get History.enabled && Option.is_some t.stats then
-      node.span <-
-        History.acquired ~lock:name
-          ~mode:(if node.reader then Lockstat.Read else Lockstat.Write)
-          ~lo:node.lo ~hi:node.hi
-
-  let hist_failed t ~mode r =
-    if Atomic.get History.enabled && Option.is_some t.stats then
-      History.failed ~lock:name ~mode ~lo:(Range.lo r) ~hi:(Range.hi r)
-
-  let hist_released (node : node) =
-    if node.span >= 0 then begin
-      if Atomic.get History.enabled then
-        History.released ~lock:name ~span:node.span
-          ~mode:(if node.reader then Lockstat.Read else Lockstat.Write)
-          ~lo:node.lo ~hi:node.hi;
-      node.span <- -1
-    end
-
-  (* ---- conflict window ----
-
-     [maxw] only grows, and it is raised to at least a node's width
-     before that node can link. So for any linked node [c]:
-     [c.hi <= c.lo + maxw] holds whenever [maxw] is read *after* [c]
-     linked — which every validation scan does, because it re-reads
-     [maxw] at scan time. Hence nodes with [lo < node.lo - maxw] cannot
-     overlap [node], and scans may start at the last node below that
-     window. Ranges are non-negative ([Range.v] demands [0 <= lo]), so
-     the subtraction cannot underflow below [min_int + 1] and the head
-     sentinel ([lo = min_int]) always precedes every window. *)
-
-  let rec note_width t w =
-    let cur = Sim.A.get t.maxw in
-    if w > cur && not (Sim.A.compare_and_set t.maxw cur w) then note_width t w
-
-  let window_start t (node : node) = node.lo - Sim.A.get t.maxw
-
-  (* ---- tower descent (lock-free, inside the caller's epoch) ----
-
-     Last *unmarked* node with [lo < key] at the bottom level. The tower
-     levels narrow the search; the bottom walk finishes it. The returned
-     node can of course be marked by the time the caller uses it — the
-     caller's CAS (or its own marked-link check) detects that, exactly
-     as the list protocol detects a stale [prev]. If the descent itself
-     lands on a node that is already marked (it raced that node's
-     release), we re-descend: towers only shrink during such a race, so
-     this terminates. *)
-  let rec find_pred t key =
-    let pred = ref t.head in
-    for cell = tower_cells - 1 downto 0 do
-      let rec walk () =
-        match Sim.A.get !pred.tower.(cell) with
-        | Some c when c.lo < key -> pred := c; walk ()
-        | _ -> ()
-      in
-      walk ()
-    done;
-    let start = !pred in
-    if start != t.head && (Sim.A.get start.bottom).marked then find_pred t key
-    else begin
-      let rec bottom last p =
-        let pl = Sim.A.get p.bottom in
-        let last = if pl.marked then last else p in
-        match pl.succ with
-        | Some c when c.lo < key -> bottom last c
-        | _ -> last
-      in
-      bottom start start
-    end
-
-  (* ---- bottom-level protocol (the list core, window-started) ---- *)
-
-  let mark_deleted (node : node) =
-    let rec go () =
-      let l = Sim.A.get node.bottom in
-      assert (not l.marked);
-      if not (Sim.A.compare_and_set node.bottom l (link ~marked:true l.succ))
-      then go ()
-    in
-    go ()
-
-  let try_unlink (prev : link Sim.A.t) c next_succ =
-    let expected = Sim.A.get prev in
-    if (not expected.marked) && succ_is expected c
-       && Sim.A.compare_and_set prev expected (link ~marked:false next_succ)
-    then retire c
-
-  let wait_pred t ~wlo ~whi ~deadline_ns pred =
-    let t0 = Clock.now_ns () in
-    let ok =
-      if deadline_ns <> max_int then begin
-        let b = Backoff.create () in
-        let rec poll () =
-          pred ()
-          || Clock.now_ns () <= deadline_ns
-             && begin
-                  Backoff.once ~deadline_ns b;
-                  poll ()
-                end
-        in
-        poll ()
-      end
-      else begin
-        if t.park then begin
-          if W.wait t.waitq ~lo:wlo ~hi:whi pred then Metrics.park t.metrics
-        end
-        else Sim.wait_until pred;
-        true
-      end
-    in
-    Metrics.waited t.metrics (Clock.now_ns () - t0);
-    ok
-
-  let wake_released t (node : node) =
-    if Atomic.get Fault.enabled && Fault.skip fp_wake_skip then ()
-    else begin
-      let n = W.wake_overlap t.waitq ~lo:node.lo ~hi:node.hi in
-      if n > 0 then Metrics.wake t.metrics n
-    end
-
-  let wait_until_marked t ~(node : node) c ~blocking ~deadline_ns =
-    Metrics.overlap_wait t.metrics;
-    if not blocking then raise Would_block;
-    if Atomic.get Fault.enabled then Fault.hit fp_overlap_wait;
-    Waitboard.wait_begin t.board ~lo:node.lo ~hi:node.hi
-      ~write:(not node.reader);
-    let ok =
-      wait_pred t ~wlo:c.lo ~whi:c.hi ~deadline_ns (fun () ->
-          (Sim.A.get c.bottom).marked)
-    in
-    Waitboard.wait_end t.board;
-    if not ok then raise Timed_out
-
-  type position = Cur_precedes | Node_precedes | Conflict
-
-  let compare_nodes ~cur ~node =
-    let both_readers = cur.reader && node.reader in
-    if node.lo >= cur.hi then Cur_precedes
-    else if both_readers && node.lo >= cur.lo then Cur_precedes
-    else if cur.lo >= node.hi then Node_precedes
-    else if both_readers && cur.lo >= node.lo then Node_precedes
-    else Conflict
-
-  (* Reader validation: forward scan from our node (reader preference
-     only — readers wait out overlapping writers; non-blocking readers
-     retreat). Identical to the list core's [r_validate]. *)
-  let r_validate t node ~blocking ~deadline_ns =
-    if Atomic.get Fault.enabled && Fault.skip fp_r_validate_skip then ()
-    else
-      let rec go prev cur =
-        match cur with
-        | None -> ()
-        | Some c ->
-          if c.lo >= node.hi then ()
-          else
-            let cl = Sim.A.get c.bottom in
-            if cl.marked then begin
-              try_unlink prev c cl.succ;
-              go prev cl.succ
-            end
-            else if c.reader then go c.bottom cl.succ
-            else if blocking then begin
-              wait_until_marked t ~node c ~blocking ~deadline_ns;
-              go prev (Some c)
-            end
-            else begin
-              mark_deleted node;
-              wake_released t node;
-              raise Validation_failed
-            end
-      in
-      let l = Sim.A.get node.bottom in
-      go node.bottom l.succ
-
-  (* Writer validation: rescan the conflict window up to our own node.
-     Unlike the list core this starts at the window predecessor rather
-     than the head — the whole point of the index. Any node linked
-     before us that could overlap has [lo >= window_start] (the [maxw]
-     argument above), so the shortened scan sees everything the full
-     scan would. *)
-  let w_validate t node ~blocking ~deadline_ns =
-    ignore blocking;
-    ignore deadline_ns;
-    if Atomic.get Fault.enabled && Fault.skip fp_w_validate_skip then ()
-    else
-      let rec go prev cur =
-        match cur with
-        | None ->
-          (* Our node is marked only by us; it must be reachable. *)
-          assert false
-        | Some c ->
-          if c == node then ()
-          else
-            let cl = Sim.A.get c.bottom in
-            if cl.marked then begin
-              try_unlink prev c cl.succ;
-              go prev cl.succ
-            end
-            else if c.hi <= node.lo then go c.bottom cl.succ
-            else begin
-              (* Overlapping holder linked before us: reader preference
-                 means the writer retreats. *)
-              Metrics.validation_failure t.metrics;
-              mark_deleted node;
-              wake_released t node;
-              raise Validation_failed
-            end
-      in
-      let p = find_pred t (window_start t node) in
-      let pl = Sim.A.get p.bottom in
-      go p.bottom pl.succ
-
-  (* One insertion-plus-validation attempt; runs inside the epoch.
-     Structured like the list core's [try_insert] minus the fairness
-     budget (skip-rw carries no gate), with the walk starting at the
-     tower-descended window predecessor instead of the head. Nodes
-     before the window cannot overlap, and any node concurrently
-     inserted behind our starting point with [lo < window_start] is
-     [Cur_precedes] by the width bound, so the walk never misses a
-     conflict. *)
-  let try_insert t node ~blocking ~deadline_ns ~linked =
-    let fail_event () = if not blocking then raise Would_block in
-    let rec restart () =
-      Metrics.restart t.metrics;
-      fail_event ();
-      traverse (find_pred t (window_start t node)).bottom
-    and traverse prev =
-      let l = Sim.A.get prev in
-      if l.marked then restart ()
-      else
-        match l.succ with
-        | None -> insert_here prev l None
-        | Some cur ->
-          let curl = Sim.A.get cur.bottom in
-          if curl.marked then begin
-            if Sim.A.compare_and_set prev l (link ~marked:false curl.succ)
-            then retire cur;
-            traverse prev
-          end
-          else begin
-            match compare_nodes ~cur ~node with
-            | Node_precedes -> insert_here prev l (Some cur)
-            | Cur_precedes -> traverse cur.bottom
-            | Conflict ->
-              (* Unsound skip: walk past the conflicting holder as if
-                 compatible (the validation scan repairs it unless the
-                 matching validation skip is armed too). *)
-              if Atomic.get Fault.enabled && Fault.skip fp_conflict_wait_skip
-              then traverse cur.bottom
-              else begin
-                wait_until_marked t ~node cur ~blocking ~deadline_ns;
-                traverse prev
-              end
-          end
-    and insert_here prev expected succ =
-      if Atomic.get Fault.enabled then Fault.hit fp_insert_cas;
-      Sim.A.set node.bottom (link ~marked:false succ);
-      if (not (Atomic.get Fault.enabled && Fault.cas_fails fp_insert_cas))
-         && Sim.A.compare_and_set prev expected
-              (link ~marked:false (Some node))
-      then begin
-        linked := true;
-        if node.reader then r_validate t node ~blocking ~deadline_ns
-        else w_validate t node ~blocking ~deadline_ns
-      end
-      else begin
-        Metrics.cas_failure t.metrics;
-        fail_event ();
-        traverse prev
-      end
-    in
-    traverse (find_pred t (window_start t node)).bottom
-
-  (* ---- tower maintenance (under the guard, outside the epoch) ----
-
-     No epoch pin is needed: while we hold the guard, no towered node
-     can be tower-unlinked, hence none can reach its bottom mark, hence
-     none can be retired — every pointer the walks below follow is to a
-     node whose reclamation is transitively blocked by the guard. *)
-
-  let tower_succ_cleanup (node : node) cell =
-    Sim.A.set node.tower.(cell) None
-
-  (* Per-cell predecessors of [key] under the guard: one descent in
-     which each level's walk resumes from the level above, so the whole
-     thing is O(log n) expected — NOT a fresh O(n) head walk per level.
-     The predicate is strictly [c.lo < key]: ties are excluded so the
-     returned pred can never sit *past* a same-lo node whose per-level
-     order within the equal-lo group differs between levels (each
-     link_tower prepends to the group at every cell it owns, so groups
-     are consistently ordered only among cells a node actually spans). *)
-  let tower_preds t key =
-    let preds = Array.make (max tower_cells 1) t.head in
-    let pred = ref t.head in
-    for cell = tower_cells - 1 downto 0 do
-      let rec walk () =
-        match Sim.A.get !pred.tower.(cell) with
-        | Some c when c.lo < key -> pred := c; walk ()
-        | _ -> ()
-      in
-      walk ();
-      preds.(cell) <- !pred
-    done;
-    preds
-
-  let link_tower t node =
-    let h = Cfg.height () in
-    let h = if h < 1 then 1 else if h > Cfg.max_level then Cfg.max_level else h in
-    if h > 1 then begin
-      if Atomic.get Fault.enabled then Fault.hit fp_tower;
-      Guard.write_acquire t.guard;
-      node.top <- h - 1;
-      let preds = tower_preds t node.lo in
-      for cell = 0 to h - 2 do
-        let pred = preds.(cell) in
-        Sim.A.set node.tower.(cell) (Sim.A.get pred.tower.(cell));
-        Sim.A.set pred.tower.(cell) (Some node)
-      done;
-      Guard.write_release t.guard
-    end
-
-  let unlink_tower t node =
-    if node.top > 0 then begin
-      if Atomic.get Fault.enabled then Fault.hit fp_tower;
-      Guard.write_acquire t.guard;
-      let preds = tower_preds t node.lo in
-      for cell = node.top - 1 downto 0 do
-        (* The strict descent stops before the equal-lo group; finish
-           with a short forward walk to the link that targets [node]. *)
-        let pred = ref preds.(cell) in
+       Last *unmarked* node with [lo < key] at the bottom level. The tower
+       levels narrow the search; the bottom walk finishes it. The returned
+       node can of course be marked by the time the caller uses it — the
+       list core's CAS (or its own marked-link check) detects that and
+       restarts through [start]. If the descent itself lands on a node
+       that is already marked (it raced that node's release), we
+       re-descend: towers only shrink during such a race, so this
+       terminates. *)
+    let rec find_pred t key =
+      let pred = ref t.sentinel in
+      for cell = tower_cells - 1 downto 0 do
         let rec walk () =
-          match Sim.A.get !pred.tower.(cell) with
-          | Some c when c != node && c.lo <= node.lo -> pred := c; walk ()
+          match Sim.A.get !pred.N.tower.(cell) with
+          | Some c when c.N.lo < key -> pred := c; walk ()
+          | _ -> ()
+        in
+        walk ()
+      done;
+      let start = !pred in
+      if start != t.sentinel && (Sim.A.get start.N.next).N.marked then
+        find_pred t key
+      else begin
+        let rec bottom last p =
+          let pl = Sim.A.get p.N.next in
+          let last = if pl.N.marked then last else p in
+          match pl.N.succ with
+          | Some c when c.N.lo < key -> bottom last c
+          | _ -> last
+        in
+        bottom start start
+      end
+
+    let start t (node : N.t) =
+      (find_pred t (node.N.lo - Sim.A.get t.maxw)).N.next
+
+    (* ---- tower maintenance (under the guard, outside the epoch) ----
+
+       No epoch pin is needed: while we hold the guard, no towered node
+       can be tower-unlinked, hence none can reach its bottom mark, hence
+       none can be retired — every pointer the walks below follow is to a
+       node whose reclamation is transitively blocked by the guard. *)
+
+    (* Per-cell predecessors of [key] under the guard: one descent in
+       which each level's walk resumes from the level above, so the whole
+       thing is O(log n) expected — NOT a fresh O(n) head walk per level.
+       The predicate is strictly [c.lo < key]: ties are excluded so the
+       returned pred can never sit *past* a same-lo node whose per-level
+       order within the equal-lo group differs between levels (each
+       [granted] prepends to the group at every cell it owns, so groups
+       are consistently ordered only among cells a node actually
+       spans). *)
+    let tower_preds t key =
+      let preds = Array.make (max tower_cells 1) t.sentinel in
+      let pred = ref t.sentinel in
+      for cell = tower_cells - 1 downto 0 do
+        let rec walk () =
+          match Sim.A.get !pred.N.tower.(cell) with
+          | Some c when c.N.lo < key -> pred := c; walk ()
           | _ -> ()
         in
         walk ();
-        (match Sim.A.get !pred.tower.(cell) with
-         | Some c when c == node ->
-           Sim.A.set !pred.tower.(cell) (Sim.A.get node.tower.(cell))
-         | _ -> ());
-        tower_succ_cleanup node cell
+        preds.(cell) <- !pred
       done;
-      node.top <- 0;
-      Guard.write_release t.guard
-    end
+      preds
 
-  (* ---- acquisition paths ---- *)
+    let granted t (node : N.t) =
+      let h = Cfg.height () in
+      let h =
+        if h < 1 then 1 else if h > Cfg.max_level then Cfg.max_level else h
+      in
+      if h > 1 then begin
+        if Atomic.get Fault.enabled then Fault.hit fp_tower;
+        Guard.write_acquire t.guard;
+        let preds = tower_preds t node.N.lo in
+        for cell = 0 to h - 2 do
+          let pred = preds.(cell) in
+          Sim.A.set node.N.tower.(cell) (Sim.A.get pred.N.tower.(cell));
+          Sim.A.set pred.N.tower.(cell) (Some node)
+        done;
+        Guard.write_release t.guard
+      end
 
-  let acquire t ~mode r =
-    let reader =
-      match mode with Lockstat.Read -> true | Lockstat.Write -> false
-    in
-    let t0 = match t.stats with None -> 0 | Some _ -> Clock.now_ns () in
-    (* Raise the width watermark before anything can link. *)
-    note_width t (Range.hi r - Range.lo r);
-    let rec attempt node =
-      Epoch.enter epoch;
-      match
-        try_insert t node ~blocking:true ~deadline_ns:max_int
-          ~linked:(ref false)
-      with
-      | () -> Epoch.leave epoch; node
-      | exception Validation_failed ->
-        Epoch.leave epoch;
-        (* The abandoned node is marked; others unlink and recycle it.
-           Start over with a fresh one (Listing 2's do-while). *)
-        attempt (alloc ~reader r)
-      | exception e -> Epoch.leave epoch; raise e
-    in
-    let node = attempt (alloc ~reader r) in
-    link_tower t node;
-    Metrics.acquisition t.metrics;
-    hist_acquired t node;
-    (match t.stats with
-     | None -> ()
-     | Some s -> Lockstat.add s mode (Clock.now_ns () - t0));
-    node
+    (* Number of tower cells [node] is linked at, counting from [cell]. *)
+    let rec linked_cells (node : N.t) cell =
+      if cell < tower_cells && Option.is_some (Sim.A.get node.N.tower.(cell))
+      then linked_cells node (cell + 1)
+      else cell
 
-  let read_acquire t r = acquire t ~mode:Lockstat.Read r
+    (* Tower first, then (in the list core) mark: a marked node is never
+       in a tower, so helper unlink + retire at the bottom stays safe. Only
+       the node's own [granted] links its cells, so the unguarded test of
+       cell 0 is stable. *)
+    let releasing t (node : N.t) =
+      if tower_cells > 0 && Option.is_some (Sim.A.get node.N.tower.(0)) then
+      begin
+        if Atomic.get Fault.enabled then Fault.hit fp_tower;
+        Guard.write_acquire t.guard;
+        let preds = tower_preds t node.N.lo in
+        for cell = linked_cells node 1 - 1 downto 0 do
+          (* The strict descent stops before the equal-lo group; finish
+             with a short forward walk to the link that targets [node]. *)
+          let pred = ref preds.(cell) in
+          let rec walk () =
+            match Sim.A.get !pred.N.tower.(cell) with
+            | Some c when c != node && c.N.lo <= node.N.lo ->
+              pred := c;
+              walk ()
+            | _ -> ()
+          in
+          walk ();
+          (match Sim.A.get !pred.N.tower.(cell) with
+           | Some c when c == node ->
+             Sim.A.set !pred.N.tower.(cell) (Sim.A.get node.N.tower.(cell))
+           | _ -> ());
+          Sim.A.set node.N.tower.(cell) None
+        done;
+        Guard.write_release t.guard
+      end
+  end
 
-  let write_acquire t r = acquire t ~mode:Lockstat.Write r
+  (* The gate functor is applied only to satisfy the list core's
+     signature: skip-rw never creates a gate. *)
+  module Core =
+    Rlk.List_rw_core.Make_located (Sim) (N)
+      (Rlk.Fairgate_core.Make (Sim) (Guard))
+      (Tower)
 
-  let try_acquire_nb t ~reader r =
-    note_width t (Range.hi r - Range.lo r);
-    let node = alloc ~reader r in
-    Epoch.enter epoch;
-    match
-      try_insert t node ~blocking:false ~deadline_ns:max_int
-        ~linked:(ref false)
-    with
-    | () ->
-      Epoch.leave epoch;
-      link_tower t node;
-      Metrics.acquisition t.metrics;
-      hist_acquired t node;
-      Some node
-    | exception Would_block ->
-      Epoch.leave epoch;
-      retire node;  (* never linked *)
-      hist_failed t ~mode:(if reader then Lockstat.Read else Lockstat.Write) r;
-      None
-    | exception Validation_failed ->
-      Epoch.leave epoch;  (* linked then self-marked; others unlink it *)
-      hist_failed t ~mode:(if reader then Lockstat.Read else Lockstat.Write) r;
-      None
-    | exception e -> Epoch.leave epoch; raise e
+  include Core
 
-  let try_read_acquire t r = try_acquire_nb t ~reader:true r
-
-  let try_write_acquire t r = try_acquire_nb t ~reader:false r
-
-  let acquire_opt t ~mode ~deadline_ns r =
-    let reader =
-      match mode with Lockstat.Read -> true | Lockstat.Write -> false
-    in
-    let t0 = match t.stats with None -> 0 | Some _ -> Clock.now_ns () in
-    note_width t (Range.hi r - Range.lo r);
-    let rec attempt node =
-      let linked = ref false in
-      Epoch.enter epoch;
-      match try_insert t node ~blocking:true ~deadline_ns ~linked with
-      | () -> Epoch.leave epoch; Some node
-      | exception Validation_failed ->
-        Epoch.leave epoch;
-        if deadline_ns <> max_int && Clock.now_ns () > deadline_ns then None
-        else attempt (alloc ~reader r)
-      | exception Timed_out ->
-        Epoch.leave epoch;
-        if !linked then begin
-          mark_deleted node;
-          wake_released t node
-        end
-        else retire node;
-        None
-      | exception e -> Epoch.leave epoch; raise e
-    in
-    let result = attempt (alloc ~reader r) in
-    (match result with
-     | Some node ->
-       link_tower t node;
-       Metrics.acquisition t.metrics;
-       hist_acquired t node;
-       (match t.stats with
-        | None -> ()
-        | Some s -> Lockstat.add s mode (Clock.now_ns () - t0))
-     | None ->
-       Metrics.timeout t.metrics;
-       hist_failed t ~mode r);
-    result
-
-  let read_acquire_opt t ~deadline_ns r =
-    acquire_opt t ~mode:Lockstat.Read ~deadline_ns r
-
-  let write_acquire_opt t ~deadline_ns r =
-    acquire_opt t ~mode:Lockstat.Write ~deadline_ns r
-
-  let release t node =
-    hist_released node;
-    if Atomic.get Fault.enabled then Fault.delay fp_release;
-    (* Tower first, then mark: a marked node is never in a tower, so
-       helper unlink + retire at the bottom stays safe. *)
-    unlink_tower t node;
-    mark_deleted node;
-    wake_released t node
-
-  let with_read t r f =
-    let h = read_acquire t r in
-    match f () with
-    | v -> release t h; v
-    | exception e -> release t h; raise e
-
-  let with_write t r f =
-    let h = write_acquire t r in
-    match f () with
-    | v -> release t h; v
-    | exception e -> release t h; raise e
-
-  let range_of_handle = range_of
-
-  let is_reader (n : handle) = n.reader
-
-  let metrics t = Metrics.snapshot t.metrics
-
-  let reset_metrics t = Metrics.reset t.metrics
-
-  let holders t =
-    Epoch.pin epoch (fun () ->
-        let rec walk l acc =
-          match l.succ with
-          | None -> List.rev acc
-          | Some n ->
-            let nl = Sim.A.get n.bottom in
-            let acc =
-              if nl.marked then acc
-              else (range_of n, if n.reader then `Reader else `Writer) :: acc
-            in
-            walk nl acc
-        in
-        walk (Sim.A.get t.head.bottom) [])
+  let create ?stats ?park () = Core.create ?stats ?park ()
 
   (* ---- test probes ---- *)
 
   (* Quiescent structural audit (no concurrent operations): the bottom
-     list must be sorted by [lo]; every tower entry must point at an
-     unmarked node that is bottom-reachable; a node linked at level [l]
-     must claim [top >= l]. Returns the live (unmarked) range count. *)
+     list must be sorted by [lo]; every tower level must end at [tail];
+     every tower entry must point at an unmarked node that is
+     bottom-reachable; a node linked at level [l] must be linked at every
+     level below it. Returns the live (unmarked) range count. *)
   let check_structure t =
     let exception Bad of string in
+    let sentinel = t.index.Tower.sentinel in
     try
       let bottom_nodes = ref [] in
       let live = ref 0 in
-      let rec walk (p : node) prev_lo =
-        match (Sim.A.get p.bottom).succ with
+      let rec walk (p : N.t) prev_lo =
+        match (Sim.A.get p.N.next).N.succ with
         | None -> ()
         | Some c ->
-          if c.lo < prev_lo then
-            raise (Bad (Printf.sprintf "bottom unsorted: %d after %d" c.lo prev_lo));
+          if c.N.lo < prev_lo then
+            raise
+              (Bad (Printf.sprintf "bottom unsorted: %d after %d" c.N.lo prev_lo));
           bottom_nodes := c :: !bottom_nodes;
-          if not (Sim.A.get c.bottom).marked then incr live;
-          walk c c.lo
+          if not (Sim.A.get c.N.next).N.marked then incr live;
+          walk c c.N.lo
       in
-      walk t.head min_int;
+      walk sentinel min_int;
       for cell = tower_cells - 1 downto 0 do
-        let rec tower_walk (p : node) prev_lo =
-          match Sim.A.get p.tower.(cell) with
-          | None -> ()
+        let rec tower_walk (p : N.t) prev_lo =
+          match Sim.A.get p.N.tower.(cell) with
+          | None ->
+            raise (Bad (Printf.sprintf "tower level %d misses its tail" (cell + 1)))
+          | Some c when c == tail -> ()
           | Some c ->
-            if (Sim.A.get c.bottom).marked then
+            if (Sim.A.get c.N.next).N.marked then
               raise (Bad (Printf.sprintf "marked node in tower level %d" (cell + 1)));
-            if c.lo < prev_lo then
+            if c.N.lo < prev_lo then
               raise (Bad (Printf.sprintf "tower level %d unsorted" (cell + 1)));
-            if c.top < cell + 1 then
-              raise (Bad (Printf.sprintf "tower level %d node claims top=%d"
-                            (cell + 1) c.top));
+            if Tower.linked_cells c 0 < cell + 1 then
+              raise (Bad (Printf.sprintf "tower level %d node unlinked below"
+                            (cell + 1)));
             if not (List.memq c !bottom_nodes) then
               raise (Bad (Printf.sprintf "tower level %d node not in bottom list"
                             (cell + 1)));
-            tower_walk c c.lo
+            tower_walk c c.N.lo
         in
-        tower_walk t.head min_int
+        tower_walk sentinel min_int
       done;
       Ok !live
     with Bad msg -> Error msg
 
-  let probe_pin f = Epoch.pin epoch f
+  let probe_pin f = N.epoch_pin f
 
-  let pool_barriers () = (Pool.stats pool).Pool.barriers
+  let pool_barriers () = (N.pool_stats ()).Pool.barriers
 end

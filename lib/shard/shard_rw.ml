@@ -135,7 +135,9 @@ let wide_span t = t.wide_span
 
 (* ---- history hooks (same discipline as the list locks) ---- *)
 
-let mode_of h = if h.reader then Lockstat.Read else Lockstat.Write
+let rw_mode reader = if reader then Lockstat.Read else Lockstat.Write
+
+let mode_of h = rw_mode h.reader
 
 let hist_acquired t (h : handle) =
   if Atomic.get History.enabled && Option.is_some t.stats then
@@ -189,9 +191,10 @@ let lower_counts t ~reader ~first ~last ~all =
 (* ---- shard-level plumbing ---- *)
 
 let release_subs t subs =
-  List.iter (fun (i, h) -> List_rw.sub_release t.shards.(i) h) subs
+  List.iter (fun (i, h) -> List_rw.release t.shards.(i) h) subs
 
-let l_acquire t i ~reader sub = List_rw.sub_acquire t.shards.(i) ~reader sub
+let l_acquire t i ~reader sub =
+  List_rw.acquire t.shards.(i) ~mode:(rw_mode reader) sub
 
 let l_try t i ~reader sub =
   if reader then List_rw.try_read_acquire t.shards.(i) sub
@@ -275,7 +278,7 @@ let narrow_timed t ~reader ~deadline_ns ~first ~last r =
 
 (* ---- slow narrow path (diverted by a wide holder) ---- *)
 
-let w_acquire t ~reader r = List_rw.sub_acquire t.wide ~reader r
+let w_acquire t ~reader r = List_rw.acquire t.wide ~mode:(rw_mode reader) r
 
 let w_try t ~reader r =
   if reader then List_rw.try_read_acquire t.wide r
@@ -309,7 +312,7 @@ let slow_try t ~reader ~first ~last r =
         | Some h -> go (i + 1) ((i, h) :: acc)
         | None ->
           release_subs t acc;
-          List_rw.sub_release t.wide wh;
+          List_rw.release t.wide wh;
           bump t.retreats;
           None
     in
@@ -327,7 +330,7 @@ let slow_timed t ~reader ~deadline_ns ~first ~last r =
         | Some h -> go (i + 1) ((i, h) :: acc)
         | None ->
           release_subs t acc;
-          List_rw.sub_release t.wide wh;
+          List_rw.release t.wide wh;
           bump t.retreats;
           None
     in
@@ -361,7 +364,7 @@ let wide_try t ~reader ~first ~last ~all r =
     if drain first then Some (Wide wh)
     else begin
       lower_counts t ~reader ~first ~last ~all;
-      List_rw.sub_release t.wide wh;
+      List_rw.release t.wide wh;
       bump t.retreats;
       None
     end
@@ -380,7 +383,7 @@ let wide_timed t ~reader ~deadline_ns ~first ~last ~all r =
     if drain first then Some (Wide wh)
     else begin
       lower_counts t ~reader ~first ~last ~all;
-      List_rw.sub_release t.wide wh;
+      List_rw.release t.wide wh;
       bump t.retreats;
       None
     end
@@ -600,17 +603,17 @@ let recycle t h =
 let release t h =
   hist_released h;
   (match h.grant with
-   | Single -> List_rw.sub_release t.shards.(h.s) h.sh
+   | Single -> List_rw.release t.shards.(h.s) h.sh
    | Narrow subs -> release_subs t subs
    | Slow { wh; subs } ->
      release_subs t subs;
-     List_rw.sub_release t.wide wh
+     List_rw.release t.wide wh
    | Wide wh ->
      let first = Router.shard_of_point t.router h.lo in
      let last = Router.shard_of_point t.router (h.hi - 1) in
      let all = last - first + 1 = shard_count t in
      lower_counts t ~reader:h.reader ~first ~last ~all;
-     List_rw.sub_release t.wide wh);
+     List_rw.release t.wide wh);
   recycle t h
 
 let with_read t r f =

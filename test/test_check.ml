@@ -230,28 +230,38 @@ let test_record_wrapper_timed () =
       Alcotest.(check bool) "timed path leaves no residue" true
         (Oracle.ok report))
 
+(* The skip-index lock is the list core over a tower locator; its native
+   hooks and chaos points must still be its own. *)
+let skip_rw_impl = Option.get (Rlk_workloads.Locks.find_arrbench_lock "skip-rw")
+
 let test_native_hooks () =
-  (* The list locks record natively when created with ?stats. *)
-  let l = List_rw.create ~stats:(Lockstat.create "native") () in
-  let bare = List_rw.create () in
-  with_recording (fun () ->
-      let h = List_rw.write_acquire l (range 0 4) in
-      List_rw.release l h;
-      let h = List_rw.read_acquire l (range 0 4) in
-      List_rw.release l h;
-      Alcotest.(check bool) "conflict try records Failed" true
-        (let h = List_rw.write_acquire l (range 8 12) in
-         let refused = List_rw.try_read_acquire l (range 8 12) = None in
-         List_rw.release l h;
-         refused);
-      (* a stats-less lock stays silent even while armed *)
-      let h = List_rw.write_acquire bare (range 0 4) in
-      List_rw.release bare h;
-      let evs = History.drain () in
-      Alcotest.(check int) "seven events, all from the stats lock" 7
-        (List.length evs);
-      let report = Oracle.check evs in
-      Alcotest.(check bool) "history is clean" true (Oracle.ok report))
+  (* The list-core locks record natively when created with ?stats. *)
+  List.iter
+    (fun impl ->
+      let module L = (val (impl : Intf.rw_impl)) in
+      let l = L.create ~stats:(Lockstat.create "native") () in
+      let bare = L.create () in
+      with_recording (fun () ->
+          let h = L.write_acquire l (range 0 4) in
+          L.release l h;
+          let h = L.read_acquire l (range 0 4) in
+          L.release l h;
+          Alcotest.(check bool) "conflict try records Failed" true
+            (let h = L.write_acquire l (range 8 12) in
+             let refused = L.try_read_acquire l (range 8 12) = None in
+             L.release l h;
+             refused);
+          (* a stats-less lock stays silent even while armed *)
+          let h = L.write_acquire bare (range 0 4) in
+          L.release bare h;
+          let evs = History.drain () in
+          Alcotest.(check int) "seven events, all from the stats lock" 7
+            (List.length evs);
+          Alcotest.(check bool) ("events carry " ^ L.name) true
+            (List.for_all (fun e -> e.History.lock = L.name) evs);
+          let report = Oracle.check evs in
+          Alcotest.(check bool) "history is clean" true (Oracle.ok report)))
+    [ (module Intf.List_rw_impl); skip_rw_impl ]
 
 let test_native_hooks_mutex () =
   let l = List_mutex.create ~stats:(Lockstat.create "native-ex") () in
@@ -319,28 +329,35 @@ let conformance_impls : (string * Intf.rw_impl * bool * bool * bool) list =
 
 (* The acceptance test for the whole oracle: a deliberately broken lock
    (validation and conflict waiting skipped via the chaos unsound points)
-   must be caught, with the seed in the failure detail for replay. *)
+   must be caught, with the seed in the failure detail for replay. Run on
+   both list-core locks with only their own points armed, which also
+   proves the shared core fires each instance's points. *)
 let test_broken_impl_caught () =
-  let plan seed =
-    Fault.plan ~seed ~p:0.7 ~relax_spins:32
-      ~unsound:
-        [ "list_rw.conflict_wait.skip";
-          "list_rw.w_validate.skip";
-          "list_rw.r_validate.skip" ]
-      ~only:[ "list_rw" ] ()
-  in
-  let module C = Conformance.Make (Intf.List_rw_impl) in
-  let outcomes =
-    C.run ~domains:4 ~iters:200 ~slots:12 ~seeds:[ 42; 43; 44 ] ~plan
-      ~only:[ "overlap-exclusion" ] ()
-  in
-  match Conformance.failures outcomes with
-  | [] -> Alcotest.fail "oracle missed the deliberately broken lock"
-  | o :: _ ->
-    Alcotest.(check bool) "failure embeds a replay seed" true
-      (contains o.Conformance.detail "replay: seed");
-    Alcotest.(check bool) "failure names the overlap" true
-      (contains o.Conformance.detail "overlap")
+  List.iter
+    (fun (points, impl) ->
+      let plan seed =
+        Fault.plan ~seed ~p:0.7 ~relax_spins:32
+          ~unsound:
+            [ points ^ ".conflict_wait.skip";
+              points ^ ".w_validate.skip";
+              points ^ ".r_validate.skip" ]
+          ~only:[ points ] ()
+      in
+      let module M = (val (impl : Intf.rw_impl)) in
+      let module C = Conformance.Make (M) in
+      let outcomes =
+        C.run ~domains:4 ~iters:200 ~slots:12 ~seeds:[ 42; 43; 44 ] ~plan
+          ~only:[ "overlap-exclusion" ] ()
+      in
+      match Conformance.failures outcomes with
+      | [] -> Alcotest.failf "oracle missed the deliberately broken %s" M.name
+      | o :: _ ->
+        Alcotest.(check bool) "failure embeds a replay seed" true
+          (contains o.Conformance.detail "replay: seed");
+        Alcotest.(check bool) "failure names the overlap" true
+          (contains o.Conformance.detail "overlap"))
+    [ ("list_rw", (module Intf.List_rw_impl : Intf.RW));
+      ("skip_rw", skip_rw_impl) ]
 
 let () =
   Alcotest.run "check"

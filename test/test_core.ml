@@ -178,12 +178,36 @@ let test_fairgate_protocol () =
    counter plus the auxiliary write lock shuts the door on new arrivals
    once the writer's patience runs out. Readers carry an explicit
    iteration cap so a starved writer fails the property instead of
-   hanging the suite. *)
+   hanging the suite.
+
+   Readers run out of patience too (each wait on the writer's transient
+   node counts against their budget), so the lock's escalation count
+   cannot tell when the *writer* escalated. The property therefore runs
+   on the production list core over a gate that flags the escalation of
+   one watched domain, the writer's. *)
+let watched_domain = Atomic.make (-1)
+
+let watched_escalated = Atomic.make false
+
+module Watched_gate = struct
+  include Fairgate
+
+  let escalate s =
+    if (Domain.self () :> int) = Atomic.get watched_domain then
+      Atomic.set watched_escalated true;
+    Fairgate.escalate s
+end
+
+module Watched_rw =
+  List_rw_core.Make (Rlk_primitives.Traced_atomic.Real) (Node) (Watched_gate)
+
 let prop_fairgate_bounded_bypass =
   QCheck.Test.make ~name:"impatient counter bounds writer bypass" ~count:6
     QCheck.(pair (int_range 1 3) (int_range 1 8))
     (fun (readers, patience) ->
-      let l = List_rw.create ~fairness:patience () in
+      Atomic.set watched_domain (Domain.self () :> int);
+      Atomic.set watched_escalated false;
+      let l = Watched_rw.create ~fairness:patience () in
       let r = range 0 8 in
       let reader_cap = 100_000 (* per reader; termination guarantee *) in
       let stop = Atomic.make false in
@@ -196,23 +220,23 @@ let prop_fairgate_bounded_bypass =
             let i = ref 0 in
             while (not (Atomic.get stop)) && !i < reader_cap do
               incr i;
-              let h = List_rw.read_acquire l r in
+              let h = Watched_rw.read_acquire l r in
               if Atomic.get writer_waiting then begin
                 Atomic.incr bypass;
-                if (List_rw.metrics l).Metrics.escalations > 0 then
+                if Atomic.get watched_escalated then
                   Atomic.incr post_esc_bypass
               end;
-              List_rw.release l h
+              Watched_rw.release l h
             done;
             if !i >= reader_cap then Atomic.set capped true)
       in
       Atomic.set writer_waiting true;
-      let h = List_rw.write_acquire l r in
+      let h = Watched_rw.write_acquire l r in
       Atomic.set writer_waiting false;
       Atomic.set stop true;
-      List_rw.release l h;
+      Watched_rw.release l h;
       join_all ds;
-      let m = List_rw.metrics l in
+      let m = Watched_rw.metrics l in
       let b = Atomic.get bypass and pe = Atomic.get post_esc_bypass in
       (* Once the writer escalates, the aux write lock stops new arrivals:
          only acquisitions already in flight (at most one per reader, plus
@@ -220,16 +244,15 @@ let prop_fairgate_bounded_bypass =
          escalation, bypass is bounded by the patience budget — but with
          noisy constants (wake latency admits a burst per failure), so the
          sharp assertion is on the post-escalation side. *)
-      let ok =
-        (not (Atomic.get capped))
-        && (m.Metrics.escalations = 0 || pe <= 8 * readers)
-      in
+      let writer_escalated = Atomic.get watched_escalated in
+      let ok = (not (Atomic.get capped)) && pe <= 8 * readers in
       if not ok then
         Printf.eprintf
-          "fairgate: bypass=%d post-escalation=%d escalations=%d capped=%b \
-           at readers=%d patience=%d\n\
+          "fairgate: bypass=%d post-escalation=%d escalations=%d \
+           writer-escalated=%b capped=%b at readers=%d patience=%d\n\
            %!"
-          b pe m.Metrics.escalations (Atomic.get capped) readers patience;
+          b pe m.Metrics.escalations writer_escalated (Atomic.get capped)
+          readers patience;
       ok)
 
 (* ---------------- List_mutex: sequential ---------------- *)
