@@ -157,7 +157,7 @@ struct
           (* The mark on the head means a fast-path acquisition: strip it
              and treat the node as a regular list head (Section 4.5). *)
           ignore
-            (Sim.A.compare_and_set t.head l (N.link ~marked:false l.N.succ));
+            (Sim.A.compare_and_set t.head l (N.unmarked l));
           traverse prev
         end
         else begin
@@ -169,17 +169,17 @@ struct
         end
       else
         match l.N.succ with
-        | None -> insert_here prev l None
+        | None -> insert_here prev l
         | Some cur ->
           let curl = Sim.A.get cur.N.next in
           if curl.N.marked then begin
             (* cur is logically deleted: unlink it (and recycle on
                success), then keep traversing from the same spot. *)
-            if Sim.A.compare_and_set prev l (N.link ~marked:false curl.N.succ)
-            then N.retire cur;
+            if Sim.A.compare_and_set prev l (N.unmarked curl) then
+              N.retire cur;
             traverse prev
           end
-          else if cur.N.lo >= node.N.hi then insert_here prev l (Some cur)
+          else if cur.N.lo >= node.N.hi then insert_here prev l
           else if node.N.lo >= cur.N.hi then traverse cur.N.next
           else begin
             (* Overlap: wait until cur's owner marks it deleted. The wait
@@ -193,12 +193,12 @@ struct
             wait_marked t node cur ~deadline_ns;
             traverse prev
           end
-    and insert_here prev expected succ =
+    and insert_here prev expected =
       if Atomic.get Fault.enabled then Fault.hit fp_insert_cas;
-      Sim.A.set node.N.next (N.link ~marked:false succ);
+      (* [expected] is already the canonical link to our successor. *)
+      Sim.A.set node.N.next expected;
       if (not (Atomic.get Fault.enabled && Fault.cas_fails fp_insert_cas))
-         && Sim.A.compare_and_set prev expected
-              (N.link ~marked:false (Some node))
+         && Sim.A.compare_and_set prev expected node.N.live_link
       then ()
       else begin
         Metrics.cas_failure t.metrics;
@@ -303,26 +303,18 @@ struct
       None
     end
 
-  let mark_deleted node =
-    let rec go () =
-      let l = Sim.A.get node.N.next in
-      assert (not l.N.marked);
-      if
-        not
-          (Sim.A.compare_and_set node.N.next l
-             (N.link ~marked:true l.N.succ))
-      then go ()
-    in
-    go ()
+  let rec mark_deleted node =
+    let l = Sim.A.get node.N.next in
+    assert (not l.N.marked);
+    if not (Sim.A.compare_and_set node.N.next l (N.marked l)) then
+      mark_deleted node
 
   let release t node =
     hist_released node;
     if Atomic.get Fault.enabled then Fault.delay fp_release;
     if t.fast_path then begin
       let l = Sim.A.get t.head in
-      if l.N.marked && N.succ_is l node
-         && Sim.A.compare_and_set t.head l N.nil
-      then
+      if l == node.N.self_link && Sim.A.compare_and_set t.head l N.nil then
         (* Eager removal: the node is already unlinked, and it was never
            reachable by a traversal (any strip of the head mark would have
            made this CAS fail), so no waiter can be parked on it. *)

@@ -164,25 +164,18 @@ struct
     else if both_readers && cur.N.lo >= node.N.lo then Node_precedes
     else Conflict
 
-  let mark_deleted node =
-    let rec go () =
-      let l = Sim.A.get node.N.next in
-      assert (not l.N.marked);
-      if
-        not
-          (Sim.A.compare_and_set node.N.next l
-             (N.link ~marked:true l.N.succ))
-      then go ()
-    in
-    go ()
+  let rec mark_deleted node =
+    let l = Sim.A.get node.N.next in
+    assert (not l.N.marked);
+    if not (Sim.A.compare_and_set node.N.next l (N.marked l)) then
+      mark_deleted node
 
-  (* Unlink the marked node [c], reachable through the cell [prev],
-     mimicking the raw-pointer CAS of the paper: the attempt silently fails
-     when [prev] no longer holds an unmarked pointer to [c]. *)
-  let try_unlink prev c next_succ =
-    let expected = Sim.A.get prev in
-    if (not expected.N.marked) && N.succ_is expected c
-       && Sim.A.compare_and_set prev expected (N.link ~marked:false next_succ)
+  (* Unlink the marked node [c] (whose link [cl] was read), reachable
+     through the cell [prev]: the paper's raw-pointer CAS, which silently
+     fails when [prev] no longer holds the unmarked pointer to [c]. *)
+  let try_unlink prev c cl =
+    if Sim.A.get prev == c.N.live_link
+       && Sim.A.compare_and_set prev c.N.live_link (N.unmarked cl)
     then N.retire c
 
   (* Blocking-wait back-end shared by every conflict wait below. Three
@@ -269,7 +262,7 @@ struct
           else
             let cl = Sim.A.get c.N.next in
             if cl.N.marked then begin
-              try_unlink prev c cl.N.succ;
+              try_unlink prev c cl;
               go prev cl.N.succ
             end
             else if c.N.reader then go c.N.next cl.N.succ
@@ -309,7 +302,7 @@ struct
           else
             let cl = Sim.A.get c.N.next in
             if cl.N.marked then begin
-              try_unlink prev c cl.N.succ;
+              try_unlink prev c cl;
               go prev cl.N.succ
             end
             else if c.N.hi <= node.N.lo then go c.N.next cl.N.succ
@@ -346,7 +339,7 @@ struct
       if l.N.marked then
         if prev == t.head then begin
           ignore
-            (Sim.A.compare_and_set t.head l (N.link ~marked:false l.N.succ));
+            (Sim.A.compare_and_set t.head l (N.unmarked l));
           traverse prev
         end
         else begin
@@ -356,17 +349,17 @@ struct
         end
       else
         match l.N.succ with
-        | None -> insert_here prev l None
+        | None -> insert_here prev l
         | Some cur ->
           let curl = Sim.A.get cur.N.next in
           if curl.N.marked then begin
-            if Sim.A.compare_and_set prev l (N.link ~marked:false curl.N.succ)
-            then N.retire cur;
+            if Sim.A.compare_and_set prev l (N.unmarked curl) then
+              N.retire cur;
             traverse prev
           end
           else begin
             match compare_nodes ~cur ~node with
-            | Node_precedes -> insert_here prev l (Some cur)
+            | Node_precedes -> insert_here prev l
             | Cur_precedes -> traverse cur.N.next
             | Conflict ->
               (* Unsound skip: walk past the conflicting holder as if
@@ -387,15 +380,15 @@ struct
                 traverse prev
               end
           end
-    and insert_here prev expected succ =
+    and insert_here prev expected =
       (* A stall here widens the window between choosing the insertion
          point and publishing the node — the exact race the validation
          scans exist to repair. *)
       if Atomic.get Fault.enabled then Fault.hit fp_insert_cas;
-      Sim.A.set node.N.next (N.link ~marked:false succ);
+      (* [expected] is already the canonical link to our successor. *)
+      Sim.A.set node.N.next expected;
       if (not (Atomic.get Fault.enabled && Fault.cas_fails fp_insert_cas))
-         && Sim.A.compare_and_set prev expected
-              (N.link ~marked:false (Some node))
+         && Sim.A.compare_and_set prev expected node.N.live_link
       then begin
         match
           if node.N.reader then r_validate t node ~blocking ~deadline_ns
@@ -598,7 +591,7 @@ struct
     if Atomic.get Fault.enabled then Fault.delay fp_release;
     L.releasing t.index node;
     let l = if t.fast_path then Sim.A.get t.head else N.nil in
-    if l.N.marked && N.succ_is l node && Sim.A.compare_and_set t.head l N.nil
+    if l == node.N.self_link && Sim.A.compare_and_set t.head l N.nil
     then begin
       (* Eagerly removed from the head, but a wide (drain) waiter may be
          parked on the head link changing: wake before the node

@@ -4,7 +4,13 @@
     only by the reader-writer variant), and an atomic [next] link. The link
     packs the paper's pointer-LSB mark into an immutable record; CAS relies
     on physical equality of the last link value read, which is exactly
-    pointer CAS on the boxed record.
+    pointer CAS on the boxed record. Links are canonical per (successor,
+    mark) — {!nil}, its marked twin and each node's {!t.live_link} /
+    {!t.self_link} are the only link values ever stored — so, as with the
+    paper's pointer word, no CAS allocates, and a CAS may succeed on a
+    cell that changed and changed back (ABA). Epoch-based reclamation
+    excludes the harmful ABA: a node keeps its incarnation while any
+    walker that may hold one of its links is pinned.
 
     Nodes are recycled through one global epoch-based pool pair per domain
     (Section 4.4): every thread has two pools total, regardless of how many
@@ -27,10 +33,16 @@ type t = {
       (** open {!History} span carried from acquisition to release; [-1]
           when the hold is not being recorded *)
   next : link aref;
+  mutable live_link : link;
+      (** [{marked = false; succ = Some self}], built once per node: the
+          one "unmarked pointer to this node" value, which inserts CAS into
+          the predecessor and helpers CAS in when unlinking a node before
+          this one *)
   mutable self_link : link;
-      (** cached [{marked = true; succ = Some self}], the value the
-          empty-list fast path CASes into the head — allocated once per
-          node rather than once per acquisition *)
+      (** [{marked = true; succ = Some self}], sharing [live_link]'s
+          [Some] box: the one "marked pointer to this node" value — what
+          the empty-list fast path CASes into the head, and what marking
+          a predecessor whose successor is this node installs *)
   tower : t option aref array;
       (** index tower cells (the skip-index core's hint levels); the shared
           empty array for list nodes *)
@@ -42,10 +54,15 @@ val nil : link
 (** Canonical unmarked end-of-list link (shared; CAS always uses the value
     it last read, so sharing is safe). *)
 
-val link : marked:bool -> t option -> link
+val unmarked : link -> link
+(** The canonical unmarked link to the same successor as a link that was
+    read: [n.live_link] for [Some n], {!nil} for [None]. Allocates
+    nothing. *)
 
-val succ_is : link -> t -> bool
-(** Physical test: does this link point at that node? *)
+val marked : link -> link
+(** The canonical marked twin of a link that was read: [n.self_link] for
+    [Some n], one shared marked end-of-list link for [None]. Allocates
+    nothing. *)
 
 val range_of : t -> Range.t
 

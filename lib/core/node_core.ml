@@ -18,6 +18,7 @@ module type S = sig
     mutable reader : bool;
     mutable span : int;
     next : link aref;
+    mutable live_link : link;
     mutable self_link : link;
     tower : t option aref array;
   }
@@ -26,9 +27,9 @@ module type S = sig
 
   val nil : link
 
-  val link : marked:bool -> t option -> link
+  val unmarked : link -> link
 
-  val succ_is : link -> t -> bool
+  val marked : link -> link
 
   val range_of : t -> Range.t
 
@@ -68,17 +69,28 @@ struct
     mutable reader : bool;
     mutable span : int;
     next : link aref;
+    mutable live_link : link;
     mutable self_link : link;
     tower : t option aref array;  (* cell [l-1] holds index level [l] *)
   }
 
   and link = { marked : bool; succ : t option }
 
+  (* Links are canonical per (successor, mark): the paper's pointer word
+     with its mark bit, so "unmarked pointer to [n]" is always the one
+     record [n.live_link] and no CAS allocates. Reusing the same record
+     across CASes brings back the ABA of a raw pointer CAS, which is what
+     the paper relies on reclamation to exclude: a node stays in its
+     incarnation while any walker that may hold its link is pinned. *)
   let nil = { marked = false; succ = None }
 
-  let link ~marked succ = { marked; succ }
+  let nil_marked = { marked = true; succ = None }
 
-  let succ_is l n = match l.succ with Some m -> m == n | None -> false
+  let unmarked l =
+    match l.succ with None -> nil | Some n -> n.live_link
+
+  let marked l =
+    match l.succ with None -> nil_marked | Some n -> n.self_link
 
   let range_of n = Range.v ~lo:n.lo ~hi:n.hi
 
@@ -90,18 +102,19 @@ struct
 
   let epoch_pin f = Epoch.pin epoch f
 
-  (* [self_link] caches the one link value the empty-list fast path
-     installs: [{marked = true; succ = Some self}]. It never changes (the
-     range lives in the node's mutable fields, not the link), so building
-     it once per node — instead of once per fast-path acquisition —
-     removes the dominant allocation on the fast path. *)
+  (* A node's two links, built once and shared by every incarnation: the
+     range lives in the node's mutable fields, not in the link. They share
+     one [Some n] box, so a walk goes cell -> link -> box -> node, all
+     allocated together with the node. *)
   let fresh () =
     let n =
       { lo = 0; hi = 1; reader = false; span = -1; next = Sim.A.make nil;
-        self_link = nil;
+        live_link = nil; self_link = nil;
         tower = Array.init Cfg.tower_cells (fun _ -> Sim.A.make None) }
     in
-    n.self_link <- { marked = true; succ = Some n };
+    let succ = Some n in
+    n.live_link <- { marked = false; succ };
+    n.self_link <- { marked = true; succ };
     n
 
   let pool = Pool.create ~target:Cfg.pool_target ~alloc:fresh epoch

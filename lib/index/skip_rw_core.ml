@@ -96,13 +96,15 @@ struct
      before it. *)
   let tail =
     { N.lo = max_int; hi = max_int; reader = false; span = -1;
-      next = Sim.A.make N.nil; self_link = N.nil; tower = [||] }
+      next = Sim.A.make N.nil; live_link = N.nil; self_link = N.nil;
+      tower = [||] }
 
   module Tower = struct
     type t = {
       sentinel : N.t;  (* [lo = hi = min_int], never marked, full tower *)
       maxw : int Sim.A.t;  (* monotone max of all granted widths *)
       guard : Guard.t;  (* serializes every tower mutation *)
+      preds : N.t array;  (* [tower_preds]' result; owned by the guard *)
     }
 
     let name = "skip-rw"
@@ -110,10 +112,12 @@ struct
     let create () =
       { sentinel =
           { N.lo = min_int; hi = min_int; reader = false; span = -1;
-            next = Sim.A.make_contended N.nil; self_link = N.nil;
+            next = Sim.A.make_contended N.nil; live_link = N.nil;
+            self_link = N.nil;
             tower = Array.init tower_cells (fun _ -> Sim.A.make (Some tail)) };
         maxw = Sim.A.make_contended 1;
-        guard = Guard.create () }
+        guard = Guard.create ();
+        preds = Array.make (max tower_cells 1) tail }
 
     let head t = t.sentinel.N.next
 
@@ -145,30 +149,34 @@ struct
        restarts through [start]. If the descent itself lands on a node
        that is already marked (it raced that node's release), we
        re-descend: towers only shrink during such a race, so this
-       terminates. *)
+       terminates.
+
+       The walks are top-level recursions with explicit arguments, so a
+       descent allocates nothing. *)
+
+    (* Last node from [p] along tower cell [cell] with [lo < key]. *)
+    let rec advance cell key (p : N.t) =
+      match Sim.A.get p.N.tower.(cell) with
+      | Some c when c.N.lo < key -> advance cell key c
+      | _ -> p
+
+    let rec descend key p cell =
+      if cell < 0 then p else descend key (advance cell key p) (cell - 1)
+
+    (* Last unmarked node from [p] along the bottom list with
+       [lo < key]; [last] if none. *)
+    let rec bottom key (last : N.t) (p : N.t) =
+      let pl = Sim.A.get p.N.next in
+      let last = if pl.N.marked then last else p in
+      match pl.N.succ with
+      | Some c when c.N.lo < key -> bottom key last c
+      | _ -> last
+
     let rec find_pred t key =
-      let pred = ref t.sentinel in
-      for cell = tower_cells - 1 downto 0 do
-        let rec walk () =
-          match Sim.A.get !pred.N.tower.(cell) with
-          | Some c when c.N.lo < key -> pred := c; walk ()
-          | _ -> ()
-        in
-        walk ()
-      done;
-      let start = !pred in
+      let start = descend key t.sentinel (tower_cells - 1) in
       if start != t.sentinel && (Sim.A.get start.N.next).N.marked then
         find_pred t key
-      else begin
-        let rec bottom last p =
-          let pl = Sim.A.get p.N.next in
-          let last = if pl.N.marked then last else p in
-          match pl.N.succ with
-          | Some c when c.N.lo < key -> bottom last c
-          | _ -> last
-        in
-        bottom start start
-      end
+      else bottom key start start
 
     let start t (node : N.t) =
       (find_pred t (node.N.lo - Sim.A.get t.maxw)).N.next
@@ -188,20 +196,18 @@ struct
        order within the equal-lo group differs between levels (each
        [granted] prepends to the group at every cell it owns, so groups
        are consistently ordered only among cells a node actually
-       spans). *)
+       spans). The result is the lock's one [preds] array, which only
+       the guard holder touches. *)
+    let rec fill_preds preds key p cell =
+      if cell >= 0 then begin
+        let p = advance cell key p in
+        preds.(cell) <- p;
+        fill_preds preds key p (cell - 1)
+      end
+
     let tower_preds t key =
-      let preds = Array.make (max tower_cells 1) t.sentinel in
-      let pred = ref t.sentinel in
-      for cell = tower_cells - 1 downto 0 do
-        let rec walk () =
-          match Sim.A.get !pred.N.tower.(cell) with
-          | Some c when c.N.lo < key -> pred := c; walk ()
-          | _ -> ()
-        in
-        walk ();
-        preds.(cell) <- !pred
-      done;
-      preds
+      fill_preds t.preds key t.sentinel (tower_cells - 1);
+      t.preds
 
     let granted t (node : N.t) =
       let h = Cfg.height () in
@@ -215,7 +221,7 @@ struct
         for cell = 0 to h - 2 do
           let pred = preds.(cell) in
           Sim.A.set node.N.tower.(cell) (Sim.A.get pred.N.tower.(cell));
-          Sim.A.set pred.N.tower.(cell) (Some node)
+          Sim.A.set pred.N.tower.(cell) node.N.live_link.N.succ
         done;
         Guard.write_release t.guard
       end
@@ -225,6 +231,15 @@ struct
       if cell < tower_cells && Option.is_some (Sim.A.get node.N.tower.(cell))
       then linked_cells node (cell + 1)
       else cell
+
+    (* Follow tower cell [cell] from [p] while the next node is not
+       [node] and starts at or before it: stops at [node]'s predecessor
+       when [node] is linked at that cell. *)
+    let rec pred_in_group cell (node : N.t) (p : N.t) =
+      match Sim.A.get p.N.tower.(cell) with
+      | Some c when c != node && c.N.lo <= node.N.lo ->
+        pred_in_group cell node c
+      | _ -> p
 
     (* Tower first, then (in the list core) mark: a marked node is never
        in a tower, so helper unlink + retire at the bottom stays safe. Only
@@ -239,18 +254,10 @@ struct
         for cell = linked_cells node 1 - 1 downto 0 do
           (* The strict descent stops before the equal-lo group; finish
              with a short forward walk to the link that targets [node]. *)
-          let pred = ref preds.(cell) in
-          let rec walk () =
-            match Sim.A.get !pred.N.tower.(cell) with
-            | Some c when c != node && c.N.lo <= node.N.lo ->
-              pred := c;
-              walk ()
-            | _ -> ()
-          in
-          walk ();
-          (match Sim.A.get !pred.N.tower.(cell) with
+          let pred = pred_in_group cell node preds.(cell) in
+          (match Sim.A.get pred.N.tower.(cell) with
            | Some c when c == node ->
-             Sim.A.set !pred.N.tower.(cell) (Sim.A.get node.N.tower.(cell))
+             Sim.A.set pred.N.tower.(cell) (Sim.A.get node.N.tower.(cell))
            | _ -> ());
           Sim.A.set node.N.tower.(cell) None
         done;

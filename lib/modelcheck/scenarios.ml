@@ -266,6 +266,46 @@ let rw_fastpath =
       in
       { Explore.fibers = [| reader; writer |]; check = oracle_check r })
 
+(* Canonical links bring back the raw-pointer ABA of the paper's CAS.
+   Two structural readers P = [0,1) and C = [10,11) are held throughout.
+   The writer A = [5,6) reads P's link to C and will CAS its node in
+   there. Meanwhile B links X = [3,4) between P and C, releases it, and
+   its next acquisition ([12,13), past C) helps unlink X, so P's cell
+   again holds the physically same [C.live_link] and A's stale CAS
+   succeeds where a fresh link per CAS made it fail. That is safe because
+   C stays in its incarnation while A is pinned; on every schedule the
+   holds must not overlap and, once both fibers are done, the list must
+   hold exactly P and C, in order. *)
+let rw_relink =
+  scenario "rw-relink" ~bound:3 ~max_steps:40_000 (fun () ->
+      let module S = Stack (struct let pool_target = 4 end) () in
+      let lock = S.LRW.create () in
+      let _p = S.LRW.read_acquire lock (range 0 1) in
+      let _c = S.LRW.read_acquire lock (range 10 11) in
+      let r = recorder () in
+      let write lo hi =
+        let h = S.LRW.write_acquire lock (range lo hi) in
+        let span = acquired r ~lock:"rw" ~mode:Lockstat.Write ~lo ~hi in
+        released r ~lock:"rw" ~mode:Lockstat.Write ~span ~lo ~hi;
+        S.LRW.release lock h
+      in
+      let a () = write 5 6 in
+      let b () = write 3 4; write 12 13 in
+      let check () =
+        match oracle_check r () with
+        | Some _ as v -> v
+        | None -> (
+          match S.LRW.holders lock with
+          | [ (p, `Reader); (c, `Reader) ]
+            when Rlk.Range.lo p = 0 && Rlk.Range.lo c = 10 -> None
+          | hs ->
+            Some
+              (Printf.sprintf "list holds %s after both fibers finished"
+                 (String.concat ", "
+                    (List.map (fun (r, _) -> Rlk.Range.to_string r) hs))))
+      in
+      { Explore.fibers = [| a; b |]; check })
+
 (* Node recycling under a starved pool (target 1): a fiber that drains
    its pool forces refill's epoch try_barrier to race the other fiber's
    traversal — the grace-period protocol of Section 4.4. *)
@@ -640,7 +680,7 @@ let adaptive_rbias_alias =
 
 let all =
   [ mutex_overlap; mutex_fastpath; mutex_try; mutex_3dom; rw_validate_race;
-    rw_writer_pref; rw_fastpath; ebr_recycle; fairgate_escalate;
+    rw_writer_pref; rw_fastpath; rw_relink; ebr_recycle; fairgate_escalate;
     rwlock_basic; park_unpark; skip_validate_race; skip_park; skip_recycle;
     adaptive_switch_race; adaptive_combine_handoff; adaptive_reader_bias;
     adaptive_rbias_alias ]

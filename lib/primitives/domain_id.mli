@@ -2,8 +2,10 @@
 
     [Domain.self] ids grow without bound as domains are spawned and joined;
     statistics arrays need small indices. The first call from a domain
-    allocates the next slot (modulo [capacity]); wrap-around merely merges
-    statistics of long-dead domains, which is harmless. *)
+    takes the id of a domain that has exited, if any, and otherwise mints
+    the next one (modulo [capacity]). A domain returns its id when it
+    exits, so two live domains share an id only if more than [capacity]
+    are alive at once — beyond OCaml's own limit on live domains. *)
 
 val capacity : int
 (** Number of distinct slots (256). *)

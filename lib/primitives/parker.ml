@@ -11,10 +11,10 @@
    flag, or the waker's lock acquisition serializes after the sleeper has
    released the mutex into [Condition.wait] and the broadcast reaches it.
 
-   Domain ids alias modulo [Domain_id.capacity], so one parker may serve
-   several domains. [wake] therefore broadcasts (not signals), and callers
-   must treat any wake-up as possibly spurious — re-check, re-arm,
-   re-block. *)
+   Domain ids are reused once their domain exits, so one parker may serve
+   several domains over a run. [wake] therefore broadcasts (not signals),
+   and callers must treat any wake-up as possibly spurious — re-check,
+   re-arm, re-block. *)
 
 type t = { mu : Mutex.t; cv : Condition.t }
 

@@ -807,6 +807,36 @@ let test_node_pool_recycles () =
   if recycled < 2 * fresh || recycled < iters / 2 then
     Alcotest.failf "pool not recycling: fresh=%d recycled=%d" fresh recycled
 
+(* Links are canonical per (node, mark), so the insert path allocates no
+   link record: insert, validate, release-mark and the next pair's helper
+   unlink of the marked node all CAS in links built once per node. What
+   is left (48 words per pair on OCaml 5.1, no flambda) is the insert
+   attempt's closures and failure counter. A fresh link per CAS costs 14
+   more words per pair: the insert CAS's link and [Some] box, the node's
+   own [next], the release mark and the helper unlink. *)
+let test_insert_path_allocation () =
+  let l = List_rw.create () in
+  let resident = List_rw.read_acquire l (range 0 1) in
+  let r = range 2 3 in
+  (* Warm the per-domain node pool. *)
+  for _ = 1 to 1_000 do
+    List_rw.release l (List_rw.read_acquire l r)
+  done;
+  let m0 = List_rw.metrics l in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    List_rw.release l (List_rw.read_acquire l r)
+  done;
+  let per_pair = (Gc.minor_words () -. w0) /. 10_000. in
+  let m1 = List_rw.metrics l in
+  List_rw.release l resident;
+  Alcotest.(check int) "no pair took the fast path" 0
+    (m1.Metrics.fast_path_hits - m0.Metrics.fast_path_hits);
+  Alcotest.(check bool)
+    (Printf.sprintf "insert-path pair allocates <= 52 words (got %.2f)"
+       per_pair)
+    true (per_pair <= 52.0)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false ~rand:(Stress_helpers.qcheck_rand ())) tests)
 
 let () =
@@ -872,4 +902,6 @@ let () =
            test_exception_injection_rw ]);
       ("node-pool",
        [ Alcotest.test_case "recycles through EBR pools" `Quick
-           test_node_pool_recycles ]) ]
+           test_node_pool_recycles;
+         Alcotest.test_case "insert path allocates no links" `Quick
+           test_insert_path_allocation ]) ]

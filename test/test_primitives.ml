@@ -146,6 +146,33 @@ let test_domain_id_stable () =
   if o = a then Alcotest.fail "distinct domains share an id";
   if o < 0 || o >= Domain_id.capacity then Alcotest.fail "id out of range"
 
+(* More domains over a run than [capacity]: exited domains return their
+   ids, so neither the live ones of a batch nor any of them ever share the
+   main domain's id (minting modulo [capacity] wrapped onto it). *)
+let test_domain_id_recycled () =
+  let main = Domain_id.get () in
+  let batch = 4 in
+  for _ = 1 to 300 / batch do
+    let ready = Atomic.make 0 in
+    let ids =
+      Array.init batch (fun _ ->
+          Domain.spawn (fun () ->
+              let id = Domain_id.get () in
+              (* Stay alive until the whole batch holds an id. *)
+              Atomic.incr ready;
+              while Atomic.get ready < batch do Domain.cpu_relax () done;
+              id))
+      |> Array.map Domain.join
+    in
+    Array.iteri
+      (fun i id ->
+        if id = main then Alcotest.failf "domain shares the main id %d" main;
+        for j = 0 to i - 1 do
+          if ids.(j) = id then Alcotest.failf "live domains share id %d" id
+        done)
+      ids
+  done
+
 (* ---- Spinlock: mutual exclusion under contention ---- *)
 
 let test_spinlock_mutex () =
@@ -417,7 +444,8 @@ let () =
          Alcotest.test_case "bounds respected" `Quick test_prng_bounds;
          Alcotest.test_case "roughly uniform" `Quick test_prng_spread ]);
       ("domain_id",
-       [ Alcotest.test_case "stable and distinct" `Quick test_domain_id_stable ]);
+       [ Alcotest.test_case "stable and distinct" `Quick test_domain_id_stable;
+         Alcotest.test_case "exited ids recycled" `Quick test_domain_id_recycled ]);
       ("spinlock",
        [ Alcotest.test_case "mutual exclusion" `Quick test_spinlock_mutex;
          Alcotest.test_case "try semantics" `Quick test_spinlock_try;
