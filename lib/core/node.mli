@@ -48,7 +48,9 @@ type t = {
           empty array for list nodes *)
 }
 
-and link = { marked : bool; succ : t option }
+and link = { marked : bool; succ : t option; twin : link }
+(** [twin] is the canonical link to the same successor with the other
+    mark. *)
 
 val nil : link
 (** Canonical unmarked end-of-list link (shared; CAS always uses the value
@@ -56,13 +58,13 @@ val nil : link
 
 val unmarked : link -> link
 (** The canonical unmarked link to the same successor as a link that was
-    read: [n.live_link] for [Some n], {!nil} for [None]. Allocates
-    nothing. *)
+    read: [n.live_link] for [Some n], {!nil} for [None]. Reads only the
+    link; allocates nothing. *)
 
 val marked : link -> link
 (** The canonical marked twin of a link that was read: [n.self_link] for
-    [Some n], one shared marked end-of-list link for [None]. Allocates
-    nothing. *)
+    [Some n], one shared marked end-of-list link for [None]. Reads only
+    the link; allocates nothing. *)
 
 val range_of : t -> Range.t
 

@@ -23,7 +23,7 @@ module type S = sig
     tower : t option aref array;
   }
 
-  and link = { marked : bool; succ : t option }
+  and link = { marked : bool; succ : t option; twin : link }
 
   val nil : link
 
@@ -74,23 +74,25 @@ struct
     tower : t option aref array;  (* cell [l-1] holds index level [l] *)
   }
 
-  and link = { marked : bool; succ : t option }
+  and link = { marked : bool; succ : t option; twin : link }
 
   (* Links are canonical per (successor, mark): the paper's pointer word
      with its mark bit, so "unmarked pointer to [n]" is always the one
      record [n.live_link] and no CAS allocates. Reusing the same record
      across CASes brings back the ABA of a raw pointer CAS, which is what
      the paper relies on reclamation to exclude: a node stays in its
-     incarnation while any walker that may hold its link is pinned. *)
-  let nil = { marked = false; succ = None }
+     incarnation while any walker that may hold its link is pinned.
 
-  let nil_marked = { marked = true; succ = None }
+     Each link points at its [twin] (same successor, other mark), so
+     flipping the mark of a link that was read touches only that link,
+     never the successor node — which another domain may be writing. *)
+  let rec nil = { marked = false; succ = None; twin = nil_marked }
 
-  let unmarked l =
-    match l.succ with None -> nil | Some n -> n.live_link
+  and nil_marked = { marked = true; succ = None; twin = nil }
 
-  let marked l =
-    match l.succ with None -> nil_marked | Some n -> n.self_link
+  let unmarked l = if l.marked then l.twin else l
+
+  let marked l = if l.marked then l else l.twin
 
   let range_of n = Range.v ~lo:n.lo ~hi:n.hi
 
@@ -113,8 +115,10 @@ struct
         tower = Array.init Cfg.tower_cells (fun _ -> Sim.A.make None) }
     in
     let succ = Some n in
-    n.live_link <- { marked = false; succ };
-    n.self_link <- { marked = true; succ };
+    let rec live = { marked = false; succ; twin = self }
+    and self = { marked = true; succ; twin = live } in
+    n.live_link <- live;
+    n.self_link <- self;
     n
 
   let pool = Pool.create ~target:Cfg.pool_target ~alloc:fresh epoch
