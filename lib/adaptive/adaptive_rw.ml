@@ -30,8 +30,8 @@ let trace_drain = Adaptive_rw_core.trace_drain
 (* Registry entry ([Locks.arrbench_locks] and friends). The geometry
    defaults to the ArrBench one; the sampling knobs are exposed so the
    differential tests can force frequent regime flips. *)
-let impl ?shards ?space ?narrow_max ?combine ?rbias ?rslot_count
-    ?sample_every ?window ?hi_pct ?lo_pct () : Rlk.Intf.rw_impl =
+let impl ?shards ?space ?narrow_max ?rbias ?rslot_count ?sample_every
+    ?window ?hi_pct ?lo_pct () : Rlk.Intf.rw_impl =
   (module struct
     type nonrec t = t
 
@@ -40,7 +40,7 @@ let impl ?shards ?space ?narrow_max ?combine ?rbias ?rslot_count
     let name = name
 
     let create ?stats () =
-      create ?stats ?shards ?space ?narrow_max ?combine ?rbias ?rslot_count
+      create ?stats ?shards ?space ?narrow_max ?rbias ?rslot_count
         ?sample_every ?window ?hi_pct ?lo_pct ()
 
     let read_acquire = read_acquire

@@ -3,7 +3,7 @@ module Fault = Rlk_chaos.Fault
 module Range = Rlk.Range
 module Router = Rlk_shard.Router
 
-(* Adaptive frontend over the list-based range-lock cores (PR 9; see
+(* Adaptive frontend over the list-based range-lock cores (see
    doc/perf.md, "Adaptive regimes").
 
    BENCH_pr5 made the trade-off concrete: the sharded frontend wins when
@@ -67,25 +67,20 @@ module Router = Rlk_shard.Router
    [adaptive.rbias.skip] disables exactly the writer's sweep (the
    model-checked mutation for this handshake).
 
-   Under same-shard contention, blocking single-shard acquisitions batch
-   flat-combining style: a waiter that fails the non-blocking try
-   publishes its request in a per-shard slot array and parks on the
-   shard's {!Waitq_core}; whichever waiter (or any waiter woken by a
-   release) wins the combiner CAS serves the whole published batch with
-   non-blocking tries on their behalf and wakes each grantee through the
-   parking layer ({!Waitq_core.notify} — targeted, no herd). The
-   combiner never blocks on behalf of others; requests it cannot grant
-   stay parked until the next release-side wake. *)
+   Blocking acquisitions on one list (a single shard, or [g]) go
+   try-first and fall back to the backend's blocking acquire, which
+   waits on the node it conflicts with, as in the paper's list lock: only
+   the release of an overlapping range can wake it, and that release
+   always does. *)
 
 (* Chaos injection points. [adaptive.switch.skip] and
    [adaptive.rbias.skip] are deliberately unsound ([switch.skip] drops
    the narrow path's g-conflict check, [rbias.skip] drops the writer's
    reader-slot sweep — each breaks exclusion across its handshake
-   detectably); the others are stall points. *)
+   detectably); [adaptive.gcheck] is a stall point. *)
 let fp_switch_skip = Fault.point "adaptive.switch.skip"
 let fp_rbias_skip = Fault.point "adaptive.rbias.skip"
 let fp_gcheck = Fault.point "adaptive.gcheck"
-let fp_combine = Fault.point "adaptive.combine"
 
 (* ---- regime-switch trace (the --regime-trace bench mode) ----
 
@@ -150,8 +145,6 @@ module type BACKEND = sig
   val drain_conflicts :
     t -> reader:bool -> blocking:bool -> deadline_ns:int -> Range.t -> bool
 
-  val range_of_handle : handle -> Range.t
-
   val holders : t -> (Range.t * [ `Reader | `Writer ]) list
 end
 
@@ -161,35 +154,6 @@ let rw_mode reader = if reader then Lockstat.Read else Lockstat.Write
 
 module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
   module W = Waitq_core.Make (Sim)
-
-  (* Flat-combining request slot states. Fields are only written by the
-     owning domain while EMPTY->CLAIMED, and only read by a combiner
-     after it loads PENDING; the GRANTED store publishes the deposited
-     handle back (all ordered through the seq-cst [state] cell). *)
-  let empty = 0
-  let claimed = 1
-  let pending = 2
-  let granted = 3
-
-  type req = {
-    state : int Sim.A.t;
-    mutable r_reader : bool;
-    mutable r_lo : int;
-    mutable r_hi : int;
-    mutable r_handle : B.handle option;
-  }
-
-  type comb = {
-    lock : int Sim.A.t;  (** 0 free / 1 combining; at most one combiner *)
-    reqs : req array;  (** indexed by [Sim.domain_id], like waitq slots *)
-    rhigh : int Sim.A.t;  (** exclusive watermark over published slots *)
-    npending : int Sim.A.t;
-    rel_epoch : int Sim.A.t;
-        (** bumped by every release touching this shard; lets a combiner
-            that granted nothing tell "nothing changed" (exit silently)
-            from "a release raced my pass" (re-wake the batch) *)
-    cwait : W.t;
-  }
 
   (* Biased-reader slot. [rseq]'s low two bits are the slot state — 0
      free, 1 claimed (fields being written), 2 published — and every
@@ -241,9 +205,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     mutable c_multi : int;
     mutable c_g : int;
     mutable c_diverted : int;
-    mutable c_comb_entries : int;
-    mutable c_comb_passes : int;
-    mutable c_combined : int;
     mutable c_timeouts : int;
     mutable c_fastr : int;
     mutable r_cool : int;
@@ -309,7 +270,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     rwait : W.t;  (** writers parked on overlapping fast readers *)
     rbias : bool;
     narrow_max : int;
-    combine : bool;
     sample_every : int;
     window : int;
     hi_pct : int;
@@ -317,43 +277,24 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     stats : Lockstat.t option;
     samp_narrow : Padded_counters.t;
     samp_wide : Padded_counters.t;
-    heat : Padded_counters.t;
-        (** combining entries, slot per shard plus one for [g] *)
-    comb : comb array;
-    gcomb : comb;
-        (** combining point for the global list — the list regime's whole
-            load lands on [g], so that is where an oversubscribed host
-            convoys; a combiner batch-grants parked g ops in one quantum *)
     dstates : dstate array;
     switches : int Atomic.t;  (** rare; stays shared for the trace epoch *)
   }
 
   let samp_slots = 8
 
+  (* [combine] must be false: flat combining was removed, and the
+     parameter stays only so callers that still pass [~combine:false]
+     build. [true] raises [Invalid_argument]. *)
   let create ?stats ?(shards = 8) ?(space = 1 lsl 16) ?narrow_max
-      ?(fast_path = true) ?(combine = true) ?(rbias = true)
+      ?(fast_path = true) ?(combine = false) ?(rbias = true)
       ?(rslot_count = rslot_default) ?(sample_every = 32) ?(window = 64)
       ?(hi_pct = 30) ?(lo_pct = 10) () =
+    if combine then invalid_arg "Adaptive_rw.create: ~combine must be false";
     let router = Router.create ~shards ~space in
     let rslot_count = max 1 rslot_count in
     let narrow_max =
       match narrow_max with Some n -> max 1 n | None -> max 1 (shards / 4)
-    in
-    let mk_comb () =
-      Padded_counters.isolate
-        { lock = Sim.A.make_contended 0;
-          reqs =
-            Array.init Sim.capacity (fun _ ->
-                Padded_counters.isolate
-                  { state = Sim.A.make empty;
-                    r_reader = false;
-                    r_lo = 0;
-                    r_hi = 0;
-                    r_handle = None });
-          rhigh = Sim.A.make 0;
-          npending = Sim.A.make_contended 0;
-          rel_epoch = Sim.A.make_contended 0;
-          cwait = W.create () }
     in
     { router;
       shards =
@@ -372,7 +313,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       rwait = W.create ();
       rbias;
       narrow_max;
-      combine;
       sample_every;
       window = max 1 window;
       hi_pct;
@@ -380,9 +320,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       stats;
       samp_narrow = Padded_counters.create ~slots:samp_slots;
       samp_wide = Padded_counters.create ~slots:samp_slots;
-      heat = Padded_counters.create ~slots:(shards + 1);
-      comb = Array.init shards (fun _ -> mk_comb ());
-      gcomb = mk_comb ();
       dstates =
         Array.init Sim.capacity (fun _ ->
             Padded_counters.isolate
@@ -393,9 +330,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
                 c_multi = 0;
                 c_g = 0;
                 c_diverted = 0;
-                c_comb_entries = 0;
-                c_comb_passes = 0;
-                c_combined = 0;
                 c_timeouts = 0;
                 c_fastr = 0;
                 r_cool = 0;
@@ -686,89 +620,14 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     let first, last = Router.first_last t.router r in
     drain_res_slow t ~reader ~blocking ~deadline_ns ~first ~last r
 
-  (* ---- flat combining (blocking acquisitions on one list) ---- *)
-
-  (* One combiner pass over combining point [c] fronting list [b] (a
-     shard, or [g] itself): serve every published request with a
-     non-blocking try on its behalf, deposit the sub-handle, and hand off
-     through the parking layer. Never blocks — ungrantable requests stay
-     parked for the next release-side wake. Runs with [c.lock] held. *)
-  let combine_pass t c b =
-    let d = dst t in
-    d.c_comb_passes <- d.c_comb_passes + 1;
-    let me = Sim.domain_id () in
-    let granted_any = ref false in
-    let stop = min (Sim.A.get c.rhigh) (Array.length c.reqs) in
-    let serve ~readers =
-      for j = 0 to stop - 1 do
-        let q = c.reqs.(j) in
-        if Sim.A.get q.state = pending && q.r_reader = readers then begin
-          let sub = Range.v ~lo:q.r_lo ~hi:q.r_hi in
-          match
-            (if q.r_reader then B.try_read_acquire else B.try_write_acquire)
-              b sub
-          with
-          | Some h ->
-            q.r_handle <- Some h;
-            if Atomic.get Fault.enabled then Fault.delay fp_combine;
-            ignore (Sim.A.fetch_and_add c.npending (-1));
-            Sim.A.set q.state granted;
-            granted_any := true;
-            if j <> me then begin
-              d.c_combined <- d.c_combined + 1;
-              W.notify c.cwait j
-            end
-          | None -> ()
-        end
-      done
-    in
-    (* Writes first: granting reads ahead of a batched write would let
-       the read stream overtake it within the pass. This ordering is the
-       half of writer preference that measured well; the reader-side
-       try-gate did not and was dropped (doc/perf.md, "measured and
-       rejected"). *)
-    serve ~readers:false;
-    serve ~readers:true;
-    !granted_any
-
-  (* Release-side hand-off to combining waiters. The epoch moves before
-     the wake — a combiner pass racing this release either sees the epoch
-     move and re-wakes its batch, or ran late enough for its tries to see
-     the node marked. Skipped outright while [npending] = 0: a requester
-     increments [npending] before parking, so a 0 read here (seq-cst,
-     after the mark) means any requester that shows up later orders its
-     own combiner pass after the mark — its try observes the release
-     directly.
-
-     Deliberately wake-only: an earlier variant ran a combiner pass right
-     here, granting the freed range to parked requesters at release time.
-     The model checker needed an extra wake to make it sound (a requester
-     can raise [npending] and be passed over while its slot still reads
-     [claimed]), and on an oversubscribed host it measured ~0.7x of this
-     version on mixed random ranges: granting to a parked domain that
-     will not be scheduled for milliseconds starves the running domains
-     that would have barged in and kept the lock utilized. *)
-  let combine_handoff c ~lo ~hi =
-    if Sim.A.get c.npending > 0 then begin
-      ignore (Sim.A.fetch_and_add c.rel_epoch 1);
-      ignore (W.wake_overlap c.cwait ~lo ~hi)
-    end
-
   (* ---- releases ---- *)
 
-  (* Sub-release of one shard node: mark it, retract the handshake
-     publication, and hand off to combining waiters blocked on the
-     released range. Ordering matters twice over: [res] must not drop
-     before the node is marked (a g op skipping the shard on res = 0 must
-     imply no live narrow), and the combiner-side epoch must move before
-     the wake (a combiner pass racing this release either sees the epoch
-     move and re-wakes its batch, or ran late enough for its tries to see
-     the node marked). *)
+  (* Sub-release of one shard node: mark it, then retract the handshake
+     publication. [res] must not drop before the node is marked: a g op
+     skipping the shard on res = 0 must imply no live narrow holder. *)
   let release_sub t i sub =
-    let r = B.range_of_handle sub in
     B.release t.shards.(i) sub;
-    ignore (Sim.A.fetch_and_add t.res.(i) (-1));
-    combine_handoff t.comb.(i) ~lo:(Range.lo r) ~hi:(Range.hi r)
+    ignore (Sim.A.fetch_and_add t.res.(i) (-1))
 
   let release t h =
     (match h.grant with
@@ -778,10 +637,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
      | Narrow subs ->
        List.iter (fun (i, sub) -> release_sub t i sub) subs;
        narrow_done t
-     | Wide gh ->
-       let r = B.range_of_handle gh in
-       B.release t.g gh;
-       combine_handoff t.gcomb ~lo:(Range.lo r) ~hi:(Range.hi r)
+     | Wide gh -> B.release t.g gh
      | Fast i ->
        (* Free the slot (published -> free, next generation), then wake
           writers parked on the released range. Only the granted owner
@@ -795,70 +651,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     if (not h.reader) && t.rbias then w_down t;
     put_handle t h
 
-  (* Publish-and-park with opportunistic combining: the wait predicate is
-     deliberately effectful — each evaluation first tries to take the
-     combiner role and serve the whole batch (including our own request).
-     [W.wait] re-arms the parker flag before every evaluation, so a
-     release-side wake or a combiner's targeted notify is never lost
-     between attempts.
-
-     The lost-wake corner is a combiner pass racing a release: waiter B's
-     wake can be consumed by a pass whose tries ran before the releaser
-     marked its node, granting nothing. The pass therefore snapshots
-     [rel_epoch] before its tries and, when it granted nothing but the
-     epoch moved, re-notifies the still-pending batch on exit — the
-     consumed wake is re-issued. When the epoch did not move nothing was
-     released, so exiting silently cannot strand anyone (and does not
-     ping-pong wakes between contending waiters while the holder lives). *)
-  let combine_acquire t ~reader c b ~hslot sub =
-    (dst t).c_comb_entries <- (dst t).c_comb_entries + 1;
-    Padded_counters.incr t.heat hslot;
-    let me = Sim.domain_id () in
-    let q = c.reqs.(me) in
-    if not (Sim.A.compare_and_set q.state empty claimed) then
-      (* Slot aliased by another live domain (> capacity domains): fall
-         back to the plain blocking path — always sound. *)
-      B.acquire b ~mode:(rw_mode reader) sub
-    else begin
-      q.r_reader <- reader;
-      q.r_lo <- Range.lo sub;
-      q.r_hi <- Range.hi sub;
-      q.r_handle <- None;
-      let rec bump_high () =
-        let h = Sim.A.get c.rhigh in
-        if me >= h && not (Sim.A.compare_and_set c.rhigh h (me + 1)) then
-          bump_high ()
-      in
-      bump_high ();
-      ignore (Sim.A.fetch_and_add c.npending 1);
-      Sim.A.set q.state pending;
-      let pred () =
-        if Sim.A.get q.state = granted then true
-        else if Sim.A.compare_and_set c.lock 0 1 then begin
-          let e0 = Sim.A.get c.rel_epoch in
-          let _progressed = combine_pass t c b in
-          Sim.A.set c.lock 0;
-          if Sim.A.get c.npending > 0 && Sim.A.get c.rel_epoch <> e0
-          then begin
-            (* A release raced the pass: its wake may have been consumed
-               by tries that ran too early. Re-issue it. *)
-            let stop = min (Sim.A.get c.rhigh) (Array.length c.reqs) in
-            for j = 0 to stop - 1 do
-              if j <> me && Sim.A.get c.reqs.(j).state = pending then
-                W.notify c.cwait j
-            done
-          end;
-          Sim.A.get q.state = granted
-        end
-        else Sim.A.get q.state = granted
-      in
-      ignore (W.wait c.cwait ~lo:q.r_lo ~hi:q.r_hi pred);
-      let h = match q.r_handle with Some h -> h | None -> assert false in
-      q.r_handle <- None;
-      Sim.A.set q.state empty;
-      h
-    end
-
   (* ---- acquisition paths ---- *)
 
   let classify t r =
@@ -869,51 +661,28 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     let first, last = Router.first_last t.router r in
     last - first > t.narrow_max - 1
 
+  (* Blocking acquisition on one list [b]: a non-blocking try first,
+     then the backend's blocking acquire, which waits on the conflicting
+     node itself. *)
+  let acquire_on b ~reader r =
+    match (if reader then B.try_read_acquire else B.try_write_acquire) b r with
+    | Some h -> h
+    | None -> B.acquire b ~mode:(rw_mode reader) r
+
   (* Blocking acquisition through [g] (wide ops; every op in the list
-     regime; narrow ops that lost the handshake). Try-first with a
-     combining fallback, like the single-shard path: in the list regime
-     every op convoys on this one list, so contended grants batch through
-     one combiner pass instead of costing a scheduling round-trip per
-     waiter on an oversubscribed host. *)
+     regime; narrow ops that lost the handshake). *)
   let acquire_g t ~reader r =
-    let gh =
-      match
-        (if reader then B.try_read_acquire else B.try_write_acquire) t.g r
-      with
-      | Some h -> h
-      | None ->
-        if t.combine then
-          combine_acquire t ~reader t.gcomb t.g
-            ~hslot:(Router.shards t.router) r
-        else B.acquire t.g ~mode:(rw_mode reader) r
-    in
+    let gh = acquire_on t.g ~reader r in
     ignore (drain_res t ~reader ~blocking:true ~deadline_ns:max_int r);
     let d = dst t in
     d.c_g <- d.c_g + 1;
     mk t ~reader (Wide gh) no_sub
 
-  (* Blocking narrow acquisition: publish, insert ascending, check [g].
-     Single-shard inserts go try-first so contended ones batch through
-     the combiner instead of convoying on the shard list. *)
+  (* Blocking narrow acquisition: publish, insert ascending, check [g]. *)
   let acquire_narrow t ~reader r ~first ~last =
     res_up t ~first ~last;
     let grant, sh =
-      if first = last then begin
-        let sub = r in
-        let h =
-          match
-            (if reader then B.try_read_acquire else B.try_write_acquire)
-              t.shards.(first) sub
-          with
-          | Some h -> h
-          | None ->
-            if t.combine then
-              combine_acquire t ~reader t.comb.(first) t.shards.(first)
-                ~hslot:first sub
-            else B.acquire t.shards.(first) ~mode:(rw_mode reader) sub
-        in
-        (Single first, h)
-      end
+      if first = last then (Single first, acquire_on t.shards.(first) ~reader r)
       else begin
         let subs = ref [] in
         for i = first to last do
@@ -1173,12 +942,8 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     s_multi : int;  (** multi-shard narrow grants *)
     s_g : int;  (** grants through the global list *)
     s_diverted : int;  (** narrow attempts retreated to the g path *)
-    s_comb_entries : int;
-    s_comb_passes : int;
-    s_combined : int;  (** grants deposited by a combiner for another domain *)
     s_timeouts : int;
     s_fast_reads : int;  (** biased fast-path reader grants *)
-    s_heat : int array;  (** per-shard combining entries *)
   }
 
   let snapshot t =
@@ -1189,12 +954,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       s_multi = sum (fun d -> d.c_multi);
       s_g = sum (fun d -> d.c_g);
       s_diverted = sum (fun d -> d.c_diverted);
-      s_comb_entries = sum (fun d -> d.c_comb_entries);
-      s_comb_passes = sum (fun d -> d.c_comb_passes);
-      s_combined = sum (fun d -> d.c_combined);
       s_timeouts = sum (fun d -> d.c_timeouts);
-      s_fast_reads = sum (fun d -> d.c_fastr);
-      s_heat =
-        Array.init (Router.shards t.router) (fun i ->
-            Padded_counters.get t.heat i) }
+      s_fast_reads = sum (fun d -> d.c_fastr) }
 end

@@ -514,7 +514,7 @@ let skip_recycle =
       in
       { Explore.fibers = [| churner; contender |]; check = oracle_check r })
 
-(* ---- adaptive frontend (PR 9) ---------------------------------------- *)
+(* ---- adaptive frontend ----------------------------------------------- *)
 
 (* The adaptive core over the recording runtime, composing the same
    List_rw core instance the other scenarios exercise: shard lists and
@@ -550,8 +550,8 @@ end
 let adaptive_switch_race_build () =
   let module S = Adaptive_stack (struct let pool_target = 4 end) () in
   let lock =
-    S.AD.create ~shards:2 ~space:4 ~narrow_max:1 ~combine:false
-      ~sample_every:1 ~window:2 ~hi_pct:50 ~lo_pct:0 ()
+    S.AD.create ~shards:2 ~space:4 ~narrow_max:1 ~sample_every:1 ~window:2
+      ~hi_pct:50 ~lo_pct:0 ()
   in
   let r = recorder () in
   let narrow () =
@@ -576,35 +576,31 @@ let adaptive_switch_race =
   scenario "adaptive-switch-race" ~bound:3 ~max_steps:120_000 (fun () ->
       adaptive_switch_race_build ())
 
-(* The flat-combining hand-off: a holder and an overlapping contender on
-   a single shard. On the schedules where the contender's non-blocking
-   try observes the holder, it publishes a combining request and parks;
-   the holder's release (mark, res/epoch retract, wake) then races the
-   contender's own combiner pass — including the windows where a
-   combiner sits between batch grant and group wake (a parked publishee
-   must still be woken exactly once, never stranded). *)
-let adaptive_combine_handoff =
-  scenario "adaptive-combine-handoff" ~bound:3 ~max_steps:120_000 (fun () ->
+(* Two writers on disjoint ranges of one shard, with reader bias off so
+   every grant goes through the shard list. [0,1) acquires and releases
+   twice, [2,3) once. A non-blocking try on the list fails on any CAS race
+   or restart, including one against a disjoint insert or release, so on
+   some schedules each writer falls back to the blocking acquire. That
+   fallback must wait only on a node it actually conflicts with: a writer
+   parked where no overlapping release will come is a deadlock the
+   explorer reports. *)
+let adaptive_disjoint_park =
+  scenario "adaptive-disjoint-park" ~bound:4 ~max_steps:120_000 (fun () ->
       let module S = Adaptive_stack (struct let pool_target = 4 end) () in
-      let lock = S.AD.create ~shards:1 ~space:4 ~sample_every:0 () in
+      let lock =
+        S.AD.create ~shards:1 ~space:4 ~sample_every:0 ~rbias:false ()
+      in
       let r = recorder () in
-      let holder () =
-        let h = S.AD.write_acquire lock (range 0 2) in
-        let span = acquired r ~lock:"ad" ~mode:Lockstat.Write ~lo:0 ~hi:2 in
-        Sched.note "holder holds [0,2)";
-        Sched.pause ();
-        released r ~lock:"ad" ~mode:Lockstat.Write ~span ~lo:0 ~hi:2;
-        S.AD.release lock h
+      let writer lo hi rounds () =
+        for _ = 1 to rounds do
+          let h = S.AD.write_acquire lock (range lo hi) in
+          let span = acquired r ~lock:"ad" ~mode:Lockstat.Write ~lo ~hi in
+          released r ~lock:"ad" ~mode:Lockstat.Write ~span ~lo ~hi;
+          S.AD.release lock h
+        done
       in
-      let contender () =
-        let h = S.AD.write_acquire lock (range 1 3) in
-        let span = acquired r ~lock:"ad" ~mode:Lockstat.Write ~lo:1 ~hi:3 in
-        Sched.note "contender holds [1,3)";
-        Sched.pause ();
-        released r ~lock:"ad" ~mode:Lockstat.Write ~span ~lo:1 ~hi:3;
-        S.AD.release lock h
-      in
-      { Explore.fibers = [| holder; contender |]; check = oracle_check r })
+      { Explore.fibers = [| writer 0 1 2; writer 2 3 1 |];
+        check = oracle_check r })
 
 (* The reader-bias Dekker pair: a narrow writer [0,2) against a wide
    reader [1,4) eligible for the biased fast path. On the schedules
@@ -619,8 +615,7 @@ let adaptive_reader_bias =
   scenario "adaptive-reader-bias" ~bound:3 ~max_steps:120_000 (fun () ->
       let module S = Adaptive_stack (struct let pool_target = 4 end) () in
       let lock =
-        S.AD.create ~shards:2 ~space:4 ~narrow_max:1 ~combine:false
-          ~sample_every:0 ()
+        S.AD.create ~shards:2 ~space:4 ~narrow_max:1 ~sample_every:0 ()
       in
       let r = recorder () in
       let writer () =
@@ -655,8 +650,7 @@ let adaptive_rbias_alias =
   scenario "adaptive-rbias-alias" ~bound:3 ~max_steps:200_000 (fun () ->
       let module S = Adaptive_stack (struct let pool_target = 4 end) () in
       let lock =
-        S.AD.create ~shards:1 ~space:4 ~combine:false ~sample_every:0
-          ~rslot_count:1 ()
+        S.AD.create ~shards:1 ~space:4 ~sample_every:0 ~rslot_count:1 ()
       in
       let r = recorder () in
       let reader lo hi () =
@@ -682,7 +676,7 @@ let all =
   [ mutex_overlap; mutex_fastpath; mutex_try; mutex_3dom; rw_validate_race;
     rw_writer_pref; rw_fastpath; rw_relink; ebr_recycle; fairgate_escalate;
     rwlock_basic; park_unpark; skip_validate_race; skip_park; skip_recycle;
-    adaptive_switch_race; adaptive_combine_handoff; adaptive_reader_bias;
+    adaptive_switch_race; adaptive_disjoint_park; adaptive_reader_bias;
     adaptive_rbias_alias ]
 
 (* The scenario the mutation self-test arms [list_rw.w_validate.skip]

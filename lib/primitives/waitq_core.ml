@@ -135,18 +135,5 @@ module Make (Sim : Traced_atomic.SIM) = struct
       !n
     end
 
-  (* Targeted hand-off: notify one slot by domain index, regardless of
-     published range. A combining frontend that grants a request on
-     another domain's behalf knows exactly which domain it fulfilled; the
-     range-overlap scan would be both wasted work and wrong (the granted
-     request's range need not overlap anything the combiner released). A
-     stale or aliased notification is absorbed exactly as in
-     [wake_overlap]: the wait loop re-arms and re-checks. *)
-  let notify t i =
-    if i >= 0 && i < Array.length t.slots then begin
-      ignore (Sim.A.exchange t.slots.(i).state notified);
-      Sim.unpark i
-    end
-
   let waiting_now t = Sim.A.get t.nwaiting
 end

@@ -1,14 +1,18 @@
-(* PR 9: the adaptive frontend battery.
+(* The adaptive frontend battery.
 
-   Four deterministic groups plus the headline differential property:
+   Deterministic groups plus the headline differential property:
 
    - regime thresholds: the width sampler's hysteresis band, exercised
      exactly at and on both sides of the switch percentages;
-   - combining: a forced same-shard pile-up whose batch must be granted
-     by one combiner pass and woken through the parking layer;
+   - pile-up: readers parked behind a same-shard writer must all be
+     granted on its release, and none before it;
+   - liveness: two domains on disjoint wide slices must finish a fixed
+     op count under a deadline (a domain parked where no overlapping
+     release will come fails the test instead of hanging it);
    - mid-switch timed cancellation: a deadline acquisition racing a
      forced regime flip must time out cleanly (no residue) against a
      conflicting narrow holder and grant against a disjoint one;
+   - reader bias: the fast path, the writer sweep and slot aliasing;
    - the differential oracle property (mirroring the PR 7 skip/list
      one): random sequential programs replayed against list-rw and
      adaptive-rw — with the sampling knobs tuned to flip regimes
@@ -22,6 +26,7 @@ module History = Rlk.History
 module Record = Rlk_check.Record
 module Oracle = Rlk_check.Oracle
 module Clock = Rlk_primitives.Clock
+module Watchdog = Rlk_chaos.Watchdog
 
 let range lo hi = Range.v ~lo ~hi
 
@@ -102,7 +107,12 @@ let test_force_regime () =
   A.force_regime t A.Sharded;
   check_regime "forced back" A.Sharded t
 
-(* ---- combined-group exclusion ---- *)
+let test_combine_rejected () =
+  Alcotest.check_raises "~combine:true is refused"
+    (Invalid_argument "Adaptive_rw.create: ~combine must be false")
+    (fun () -> ignore (A.create ~combine:true ()))
+
+(* ---- same-shard pile-up ---- *)
 
 let spin_until ?(timeout_s = 10.) what pred =
   let deadline = Clock.now_ns () + int_of_float (timeout_s *. 1e9) in
@@ -111,11 +121,22 @@ let spin_until ?(timeout_s = 10.) what pred =
   done;
   if not (pred ()) then Alcotest.failf "timed out waiting for %s" what
 
-let test_combined_group () =
-  (* A writer holds the whole (single-shard) space; three readers pile
-     into the combining layer; the release must let one pass grant the
-     whole batch, and no reader may be granted while the writer holds. *)
-  let t = A.create ~shards:1 ~space:16 ~sample_every:0 () in
+(* Readers parked on the list, as the starvation watchdog sees them:
+   every lock created while [auto_watch] is on registers its waitboard,
+   and a blocking wait is published there until it ends. *)
+let watched f =
+  Watchdog.clear ();
+  Watchdog.set_auto_watch true;
+  Fun.protect ~finally:(fun () -> Watchdog.set_auto_watch false) f
+
+let parked () = List.length (Watchdog.scan ~threshold_ns:0)
+
+let test_pile_up () =
+  (* A writer holds the whole (single-shard) space; three readers pile up
+     behind it on the shard list. No reader may be granted while the
+     writer holds, and its release must grant all three. *)
+  let t = watched (fun () -> A.create ~shards:1 ~space:16 ~sample_every:0 ()) in
+  Fun.protect ~finally:Watchdog.clear @@ fun () ->
   let h = A.write_acquire t (range 0 16) in
   let released = Atomic.make false in
   let early = Atomic.make 0 in
@@ -127,23 +148,53 @@ let test_combined_group () =
     A.release t hr
   in
   let ds = List.init 3 (fun _ -> Domain.spawn reader) in
-  spin_until "3 combining entries" (fun () ->
-      (A.snapshot t).A.s_comb_entries >= 3);
+  spin_until "3 parked readers" (fun () -> parked () >= 3);
   Alcotest.(check int) "no grant while the writer holds" 0 (Atomic.get got);
   Atomic.set released true;
   A.release t h;
   List.iter Domain.join ds;
   Alcotest.(check int) "all three readers granted" 3 (Atomic.get got);
   Alcotest.(check int) "none granted early" 0 (Atomic.get early);
-  let s = A.snapshot t in
-  Alcotest.(check bool)
-    (Printf.sprintf "a combiner granted on others' behalf (combined=%d)"
-       s.A.s_combined)
-    true
-    (s.A.s_combined >= 2);
+  Alcotest.(check int) "no waiter left behind" 0 (parked ());
   (* No residue: the whole space is immediately writable again. *)
   let h = A.write_acquire t (range 0 16) in
   A.release t h
+
+(* ---- liveness on disjoint wide slices ---- *)
+
+(* Two domains, each on its own half of the space. A half spans four of
+   the eight shards, more than [narrow_max] = 2, so every operation goes
+   through the global list, where the two domains' inserts and releases
+   race although their ranges never overlap. A blocking acquisition may
+   only wait on a node it conflicts with; one that parked anywhere else
+   would never be woken. The main domain polls for completion rather
+   than joining, so a stuck worker fails the test at the deadline
+   instead of hanging it. *)
+let test_disjoint_liveness () =
+  let t = A.create ~shards:8 ~space:256 () in
+  let ops = 2_000_000 in
+  let finished = Atomic.make 0 in
+  let worker id () =
+    let rng = Random.State.make [| id |] in
+    let r = range (id * 128) ((id + 1) * 128) in
+    for _ = 1 to ops do
+      let h =
+        if Random.State.int rng 100 < 75 then A.read_acquire t r
+        else A.write_acquire t r
+      in
+      A.release t h
+    done;
+    Atomic.incr finished
+  in
+  let ds = List.init 2 (fun id -> Domain.spawn (worker id)) in
+  let deadline = Clock.now_ns () + 30_000_000_000 in
+  while Atomic.get finished < 2 && Clock.now_ns () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if Atomic.get finished < 2 then
+    Alcotest.failf "%d of 2 domains finished %d ops within 30 s"
+      (Atomic.get finished) ops;
+  List.iter Domain.join ds
 
 (* ---- mid-switch timed cancellation ---- *)
 
@@ -477,10 +528,15 @@ let () =
           Alcotest.test_case "hold below hi_pct" `Quick test_threshold_below;
           Alcotest.test_case "hysteresis band and flip-back" `Quick
             test_threshold_down;
-          Alcotest.test_case "force_regime" `Quick test_force_regime ] );
-      ( "combining",
-        [ Alcotest.test_case "combined-group exclusion" `Quick
-            test_combined_group ] );
+          Alcotest.test_case "force_regime" `Quick test_force_regime;
+          Alcotest.test_case "combine:true rejected" `Quick
+            test_combine_rejected ] );
+      ( "pile-up",
+        [ Alcotest.test_case "same-shard pile-up exclusion" `Quick
+            test_pile_up ] );
+      ( "liveness",
+        [ Alcotest.test_case "disjoint wide slices finish" `Quick
+            test_disjoint_liveness ] );
       ( "timed",
         [ Alcotest.test_case "mid-switch cancellation" `Quick
             test_mid_switch_timed ] );
