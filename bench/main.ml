@@ -1142,6 +1142,31 @@ let smoke cfg =
      output_string oc doc;
      close_out oc;
      say "regime trace written to %s" path);
+  (* Writers-only cell, ungated: list-ex is list-rw's body with the writer
+     validation scan skipped, so on disjoint/0 the median paired
+     list-ex/list-rw ratio is what that scan costs. The order within a
+     round alternates between rounds. *)
+  let ex_ratio =
+    let sample name =
+      Gc.compact ();
+      (Arrbench.run
+         ~lock:(List.assoc name Locks.arrbench_locks)
+         ~variant:Arrbench.Disjoint ~threads ~read_pct:0 ~duration_s)
+        .Runner.throughput
+    in
+    median
+      (List.init reps (fun k ->
+           let ex, rw =
+             if k land 1 = 0 then
+               let ex = sample "list-ex" in
+               (ex, sample "list-rw")
+             else
+               let rw = sample "list-rw" in
+               (sample "list-ex", rw)
+           in
+           if rw > 0. then ex /. rw else 0.))
+  in
+  say "   list-ex/list-rw (median paired ratio): disjoint/0 %.2fx" ex_ratio;
   (* Long-list cell: the skip-index asymptotic claim at N=10^4 resident
      disjoint ranges, gated absolutely — skip-rw losing to the O(N) list
      scan here is a correctness-of-purpose failure, not noise. *)
@@ -1178,7 +1203,8 @@ let smoke cfg =
           \"full_100\": %.3f, \"random_90\": %.3f},\n\
          \  \"regime_switches\": {\"disjoint_100\": %d, \"full_100\": %d, \
           \"random_60\": %d, \"random_90\": %d},\n\
-         \  \"ratio_skip_over_list\": {\"longlist_10000\": %.3f}\n\
+         \  \"ratio_skip_over_list\": {\"longlist_10000\": %.3f},\n\
+         \  \"ratio_ex_over_rw\": {\"disjoint_0\": %.3f}\n\
           }\n"
          threads duration_s
          (String.concat ",\n" rows)
@@ -1186,7 +1212,7 @@ let smoke cfg =
          (pratio "disjoint/100") (pratio "full/100") (pratio "random/60")
          (aratio "disjoint/100") (aratio "full/100") (aratio "random/90")
          (switches "disjoint/100") (switches "full/100") (switches "random/60")
-         (switches "random/90") ll_ratio
+         (switches "random/90") ll_ratio ex_ratio
      in
      (match path with
       | "-" -> print_string doc

@@ -1,6 +1,11 @@
 (** Exclusive list-based range lock — Listing 1 of the paper
     ([MutexRangeAcquire] / [MutexRangeRelease]).
 
+    This is the writers-only instance of the reader-writer list body
+    ({!List_rw}, [List_rw_core.Make_exclusive]): every acquisition is a
+    write, and since a writer validates only against readers, the
+    validation scan is skipped. Its chaos points are named [list_ex.*].
+
     Acquired ranges live in a linked list sorted by range start; inserting a
     node {e is} acquiring the range, so overlapping acquisitions compete on
     a single CAS. Release marks the node logically deleted; marked nodes are

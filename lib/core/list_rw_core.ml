@@ -13,18 +13,20 @@ module Waitboard = Rlk_chaos.Waitboard
    The protocol (insert, validate, mark, help-unlink) is written once, in
    [Make_located], over a {e locator}: the component that decides where a
    walk starts. [Make] uses the plain one (every walk starts at the head);
-   the skip-index core (lib/index) supplies a tower locator whose walks
-   start at the last node below the conflict window, and so is this same
-   body plus an index.
+   [Make_exclusive], the paper's exclusive lock ({!List_mutex}), is the
+   plain one with no readers and so no validation; the skip-index core
+   (lib/index) supplies a tower locator whose walks start at the last
+   node below the conflict window, and so is this same body plus an
+   index.
 
    Atomic accesses on the head and node links go through [Sim.A] (the
    scheduling points); waits go through [Sim.wait_until]. Metrics, chaos
    fault points, history recording and the waitboard stay concrete —
    observation-only facilities the checker need not interleave. *)
 
-(* Unsound skip (same point as list_mutex_core): drop the release-side
-   wake of parked waiters — the lost-wakeup bug class. See the chaos
-   self-test in test_chaos and the park-unpark model scenario. *)
+(* Unsound skip, shared by every instance: drop the release-side wake of
+   parked waiters — the lost-wakeup bug class. See the chaos self-test in
+   test_chaos and the park-unpark model scenario. *)
 let fp_wake_skip = Fault.point "parker.wake.skip"
 
 type preference = Prefer_readers | Prefer_writers
@@ -48,6 +50,12 @@ module type LOCATOR = sig
   val name : string
   (** Lock name (history, waitboard); with '-' read as '_', also the
       prefix of the lock's chaos points. *)
+
+  val writers_only : bool
+  (** The instance never links a reader node. A writer validates only
+      against readers, so its validation scan cannot fail and is skipped:
+      the insert CAS alone grants, as in the paper's exclusive lock
+      (Listing 1). *)
 
   val create : unit -> t
 
@@ -365,7 +373,8 @@ struct
               (* Unsound skip: walk past the conflicting holder as if
                  compatible. The validation scan would normally repair
                  this, so a detectable violation needs the matching
-                 validation skip armed too. *)
+                 validation skip armed too — except in a writers-only
+                 lock, which has no scan. *)
               if Atomic.get Fault.enabled && Fault.skip fp_conflict_wait_skip
               then traverse cur.N.next
               else begin
@@ -392,6 +401,7 @@ struct
       then begin
         match
           if node.N.reader then r_validate t node ~blocking ~deadline_ns
+          else if L.writers_only then ()
           else w_validate t node ~blocking ~deadline_ns
         with
         | () -> ()
@@ -728,28 +738,88 @@ end
 
 (* The plain list: the locator's state is the head cell itself, and every
    walk starts there. *)
+module Head
+    (Sim : Traced_atomic.SIM)
+    (N : Node_core.S with type 'a aref = 'a Sim.A.t)
+    (K : sig
+       val name : string
+
+       val writers_only : bool
+     end) =
+struct
+  include K
+
+  type t = N.link Sim.A.t
+
+  (* The head is the hottest word of the lock: isolate it so concurrent
+     acquisitions on *other* locks (e.g. neighbouring shards of
+     Rlk_shard) never invalidate its cache line. *)
+  let create () = Sim.A.make_contended N.nil
+
+  let head t = t
+
+  let before_insert _ _ = ()
+
+  let start t _ = t
+
+  let granted _ _ = ()
+
+  let releasing _ _ = ()
+end
+
 module Make
     (Sim : Traced_atomic.SIM)
     (N : Node_core.S with type 'a aref = 'a Sim.A.t)
     (G : Fairgate_core.S) =
   Make_located (Sim) (N) (G)
-    (struct
-      type t = N.link Sim.A.t
+    (Head (Sim) (N)
+       (struct
+         let name = "list-rw"
 
-      let name = "list-rw"
+         let writers_only = false
+       end))
 
-      (* The head is the hottest word of the lock: isolate it so concurrent
-         acquisitions on *other* locks (e.g. neighbouring shards of
-         Rlk_shard) never invalidate its cache line. *)
-      let create () = Sim.A.make_contended N.nil
+(* The paper's exclusive lock (Listing 1) is this body with no readers:
+   every acquisition is a write, and validation is skipped. The result
+   has {!List_mutex}'s signature. *)
+module Make_exclusive
+    (Sim : Traced_atomic.SIM)
+    (N : Node_core.S with type 'a aref = 'a Sim.A.t)
+    (G : Fairgate_core.S) =
+struct
+  module Core =
+    Make_located (Sim) (N) (G)
+      (Head (Sim) (N)
+         (struct
+           let name = "list-ex"
 
-      let head t = t
+           let writers_only = true
+         end))
 
-      let before_insert _ _ = ()
+  type t = Core.t
 
-      let start t _ = t
+  type handle = Core.handle
 
-      let granted _ _ = ()
+  let name = Core.name
 
-      let releasing _ _ = ()
-    end)
+  let create ?stats ?fast_path ?fairness ?park () =
+    Core.create ?stats ?fast_path ?fairness ?park ()
+
+  let acquire = Core.write_acquire
+
+  let try_acquire = Core.try_write_acquire
+
+  let acquire_opt = Core.write_acquire_opt
+
+  let release = Core.release
+
+  let with_range = Core.with_write
+
+  let range_of_handle = Core.range_of_handle
+
+  let metrics = Core.metrics
+
+  let reset_metrics = Core.reset_metrics
+
+  let holders t = List.map fst (Core.holders t)
+end

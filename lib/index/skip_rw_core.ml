@@ -109,6 +109,8 @@ struct
 
     let name = "skip-rw"
 
+    let writers_only = false
+
     let create () =
       { sentinel =
           { N.lo = min_int; hi = min_int; reader = false; span = -1;

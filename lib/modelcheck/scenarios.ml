@@ -38,7 +38,7 @@ struct
   module N = Rlk.Node_core.Make (Sched.Sim) (E) (P) (Cfg) ()
   module RW = Rlk_primitives.Rwlock_core.Make (Sched.Sim)
   module G = Rlk.Fairgate_core.Make (Sched.Sim) (RW)
-  module LM = Rlk.List_mutex_core.Make (Sched.Sim) (N) (G)
+  module LM = Rlk.List_rw_core.Make_exclusive (Sched.Sim) (N) (G)
   module LRW = Rlk.List_rw_core.Make (Sched.Sim) (N) (G)
 end
 
@@ -678,33 +678,6 @@ let all =
     rwlock_basic; park_unpark; skip_validate_race; skip_park; skip_recycle;
     adaptive_switch_race; adaptive_disjoint_park; adaptive_reader_bias;
     adaptive_rbias_alias ]
-
-(* The scenario the mutation self-test arms [list_rw.w_validate.skip]
-   against: with the skip armed the explorer must produce an overlap
-   counterexample here; with real code it must report zero violations. *)
-let mutation_target = rw_validate_race
-
-(* Likewise for [parker.wake.skip]: with release-side wakes dropped the
-   explorer must find a schedule where a parked waiter is never
-   re-enabled (a deadlock); pristine code must come back clean. *)
-let parker_mutation_target = park_unpark
-
-(* And for [skip_rw.w_validate.skip] on the tower-indexed core: the
-   window-bounded writer rescan is the last line of defence against a
-   reader that linked behind the writer's back. *)
-let skip_mutation_target = skip_validate_race
-
-(* And for [adaptive.switch.skip]: dropping the narrow path's g-conflict
-   check severs the only edge that makes an already-granted g holder
-   visible to a narrow acquirer — the explorer must produce an overlap
-   on the switch-race scenario; pristine code must come back clean. *)
-let adaptive_mutation_target = adaptive_switch_race
-
-(* And for [adaptive.rbias.skip]: dropping the writer's reader-slot
-   sweep severs the only edge that makes a biased fast-path reader
-   visible to a granted writer — the explorer must produce an overlap
-   on the reader-bias scenario; pristine code must come back clean. *)
-let adaptive_rbias_mutation_target = adaptive_reader_bias
 
 let run t =
   Explore.explore ~bound:t.bound ~max_steps:t.max_steps t.scen

@@ -39,311 +39,117 @@ let check_scenario (t : Scenarios.t) () =
       t.scen.name executions
   | Explore.Fail v -> Alcotest.fail (record_counterexample t.scen.name v)
 
-(* Mutation self-test: disable w_validate through the chaos engine's
-   deliberately-unsound skip point; the explorer must now produce an
-   oracle counterexample on the insert/validate race scenario, the
-   counterexample must replay from its printed seed alone, and the
-   pristine code must come back clean after disarming. *)
-let mutation () =
-  let t = Scenarios.mutation_target in
-  Fault.arm
-    (Fault.plan ~p:1.0 ~cas_fail_p:0.0 ~relax_spins:0 ~yield_every:0
-       ~delay_ns:0
-       ~unsound:[ "list_rw.w_validate.skip" ]
-       ~only:[ "list_rw.w_validate" ] ~seed:42 ());
-  let v =
-    Fun.protect ~finally:Fault.disarm (fun () ->
-        match Scenarios.run t with
-        | Explore.Pass { executions } ->
-          Alcotest.failf
-            "w_validate disabled but %d explored schedules all passed —\n\
-             the checker is not observing the validation race" executions
-        | Explore.Fail v ->
-          (match v.kind with
-          | Explore.Check _ -> ()
-          | k ->
-            Alcotest.failf "expected an oracle overlap, got: %s"
-              (Format.asprintf "%a" Explore.pp_failure_kind k));
-          Printf.printf
-            "mutation counterexample found after %d schedule(s) (expected):\n\
-             %s\n\
-             %!"
-            v.executions
-            (Explore.violation_to_string t.scen.name v);
-          (* The minimized counterexample must replay from the seed alone
-             (same mutation armed). *)
-          (match v.seed with
-          | Some seed -> (
-            match Explore.replay ~max_steps:t.max_steps t.scen ~seed with
-            | Explore.Fail { kind = Explore.Check _; _ } -> ()
-            | Explore.Fail { kind; _ } ->
-              Alcotest.failf "seed %d replayed to a different failure: %s"
-                seed
-                (Format.asprintf "%a" Explore.pp_failure_kind kind)
-            | Explore.Pass _ ->
-              Alcotest.failf "seed %d did not reproduce the counterexample"
-                seed)
-          | None -> (
-            (* Too many deviations for one integer: the deviation list is
-               the replay token instead. *)
-            match
-              Explore.run_deviations ~max_steps:t.max_steps t.scen
-                v.deviations
-            with
-            | Some (Explore.Check _) -> ()
-            | _ ->
-              Alcotest.fail
-                "deviation list did not reproduce the counterexample"));
-          v)
-  in
-  ignore v;
-  (* Pristine code: the same exploration must be violation-free. *)
-  match Scenarios.run t with
-  | Explore.Pass _ -> ()
-  | Explore.Fail v ->
-    Alcotest.fail (record_counterexample (t.scen.name ^ " (clean)") v)
+(* Mutation self-tests: each row arms one deliberately unsound chaos
+   skip ([point ^ ".skip"]) and explores its target scenario. The
+   explorer must find a counterexample of the expected kind, the
+   minimized counterexample must replay from its printed seed alone (or
+   from its deviation list, when it has too many deviations for one
+   integer), and the pristine code must explore clean once the fault is
+   disarmed. Each row proves the checker observes the edge the skipped
+   step provides. *)
+type expect = Overlap | Deadlock
 
-(* Second mutation: drop release-side wakes ([parker.wake.skip]). A parked
-   waiter whose wake is skipped is never re-enabled, so the explorer must
-   find a deadlock on the park-unpark scenario; the counterexample must
-   replay from its seed (or deviation list), and pristine code must come
-   back clean. Proves the checker actually observes the park/unpark
-   hand-off rather than abstracting it away. *)
-let parker_mutation () =
-  let t = Scenarios.parker_mutation_target in
+type mutation = {
+  case : string;  (* Alcotest case name *)
+  target : Scenarios.t;
+  point : string;
+  seed : int;  (* chaos plan seed *)
+  expect : expect;
+  observes : string;  (* what a passing armed run shows the checker misses *)
+}
+
+let mutations =
+  [ (* Writer validation on the insert/validate race: only the writer's
+       rescan from the head repairs a reader that linked before it. *)
+    { case = "w_validate-skip counterexample";
+      target = Scenarios.rw_validate_race;
+      point = "list_rw.w_validate"; seed = 42; expect = Overlap;
+      observes = "the validation race" };
+    (* Release-side wakes: a parked waiter whose wake is skipped is never
+       re-enabled, so the explorer must find a deadlock. *)
+    { case = "parker-wake-skip counterexample";
+      target = Scenarios.park_unpark;
+      point = "parker.wake"; seed = 1105; expect = Deadlock;
+      observes = "the parking hand-off" };
+    (* The window-bounded writer rescan on the tower-indexed core. *)
+    { case = "skip-rw w_validate-skip counterexample";
+      target = Scenarios.skip_validate_race;
+      point = "skip_rw.w_validate"; seed = 707; expect = Overlap;
+      observes = "the tower-path validation race" };
+    (* The adaptive narrow path's g-conflict check: the only edge making an
+       already-granted g holder visible to a narrow acquirer. *)
+    { case = "adaptive switch-skip counterexample";
+      target = Scenarios.adaptive_switch_race;
+      point = "adaptive.switch"; seed = 909; expect = Overlap;
+      observes = "the cross-regime handshake" };
+    (* The writer's reader-slot sweep: the only edge making a biased
+       fast-path reader, which holds no list node, visible to a granted
+       writer. *)
+    { case = "adaptive rbias-skip counterexample";
+      target = Scenarios.adaptive_reader_bias;
+      point = "adaptive.rbias"; seed = 911; expect = Overlap;
+      observes = "the bias handshake" };
+    (* list-ex skips validation, so the traversal's conflict wait is its
+       only guard: walking past the holder must yield an overlap. With
+       validation on, as in list-rw, the writer's scan catches the holder
+       it walked past, and no overlap results. *)
+    { case = "list-ex conflict_wait-skip counterexample";
+      target = Scenarios.mutex_overlap;
+      point = "list_ex.conflict_wait"; seed = 1601; expect = Overlap;
+      observes = "the writers-only conflict wait" } ]
+
+let expected m (kind : Explore.failure_kind) =
+  match (m.expect, kind) with
+  | Overlap, Explore.Check _ | Deadlock, Explore.Deadlock -> true
+  | _ -> false
+
+let failure_kind kind = Format.asprintf "%a" Explore.pp_failure_kind kind
+
+let mutation m () =
+  let t = m.target in
   Fault.arm
     (Fault.plan ~p:1.0 ~cas_fail_p:0.0 ~relax_spins:0 ~yield_every:0
-       ~delay_ns:0
-       ~unsound:[ "parker.wake.skip" ]
-       ~only:[ "parker.wake" ] ~seed:1105 ());
+       ~delay_ns:0 ~unsound:[ m.point ^ ".skip" ] ~only:[ m.point ]
+       ~seed:m.seed ());
   Fun.protect ~finally:Fault.disarm (fun () ->
       match Scenarios.run t with
       | Explore.Pass { executions } ->
         Alcotest.failf
-          "release wakes dropped but %d explored schedules all passed —\n\
-           the checker is not observing the parking hand-off" executions
+          "%s.skip armed but %d explored schedules all passed —\n\
+           the checker is not observing %s"
+          m.point executions m.observes
       | Explore.Fail v ->
-        (match v.kind with
-        | Explore.Deadlock -> ()
-        | k ->
-          Alcotest.failf "expected a lost-wakeup deadlock, got: %s"
-            (Format.asprintf "%a" Explore.pp_failure_kind k));
+        if not (expected m v.kind) then
+          Alcotest.failf "expected %s, got: %s"
+            (match m.expect with
+             | Overlap -> "an oracle overlap"
+             | Deadlock -> "a lost-wakeup deadlock")
+            (failure_kind v.kind);
         Printf.printf
-          "parker mutation counterexample found after %d schedule(s) \
-           (expected):\n\
+          "%s.skip counterexample found after %d schedule(s) (expected):\n\
            %s\n\
            %!"
-          v.executions
+          m.point v.executions
           (Explore.violation_to_string t.scen.name v);
         (match v.seed with
-        | Some seed -> (
-          match Explore.replay ~max_steps:t.max_steps t.scen ~seed with
-          | Explore.Fail { kind = Explore.Deadlock; _ } -> ()
-          | Explore.Fail { kind; _ } ->
-            Alcotest.failf "seed %d replayed to a different failure: %s" seed
-              (Format.asprintf "%a" Explore.pp_failure_kind kind)
-          | Explore.Pass _ ->
-            Alcotest.failf "seed %d did not reproduce the counterexample"
-              seed)
-        | None -> (
-          match
-            Explore.run_deviations ~max_steps:t.max_steps t.scen v.deviations
-          with
-          | Some Explore.Deadlock -> ()
-          | _ ->
-            Alcotest.fail
-              "deviation list did not reproduce the counterexample")));
-  (* Pristine code: the same exploration must be violation-free. *)
-  match Scenarios.run t with
-  | Explore.Pass _ -> ()
-  | Explore.Fail v ->
-    Alcotest.fail (record_counterexample (t.scen.name ^ " (clean)") v)
-
-(* Third mutation, against the skip-index core (PR 7): disable the
-   window-bounded writer validation on the tower path. The explorer must
-   produce a minimized, replayable overlap counterexample on the
-   skip-validate-race scenario, and pristine code must explore clean. *)
-let skip_mutation () =
-  let t = Scenarios.skip_mutation_target in
-  Fault.arm
-    (Fault.plan ~p:1.0 ~cas_fail_p:0.0 ~relax_spins:0 ~yield_every:0
-       ~delay_ns:0
-       ~unsound:[ "skip_rw.w_validate.skip" ]
-       ~only:[ "skip_rw.w_validate" ] ~seed:707 ());
-  let v =
-    Fun.protect ~finally:Fault.disarm (fun () ->
-        match Scenarios.run t with
-        | Explore.Pass { executions } ->
-          Alcotest.failf
-            "skip_rw w_validate disabled but %d explored schedules all \
-             passed —\n\
-             the checker is not observing the tower-path validation race"
-            executions
-        | Explore.Fail v ->
-          (match v.kind with
-          | Explore.Check _ -> ()
-          | k ->
-            Alcotest.failf "expected an oracle overlap, got: %s"
-              (Format.asprintf "%a" Explore.pp_failure_kind k));
-          Printf.printf
-            "skip mutation counterexample found after %d schedule(s) \
-             (expected):\n\
-             %s\n\
-             %!"
-            v.executions
-            (Explore.violation_to_string t.scen.name v);
-          (match v.seed with
-          | Some seed -> (
-            match Explore.replay ~max_steps:t.max_steps t.scen ~seed with
-            | Explore.Fail { kind = Explore.Check _; _ } -> ()
-            | Explore.Fail { kind; _ } ->
-              Alcotest.failf "seed %d replayed to a different failure: %s"
-                seed
-                (Format.asprintf "%a" Explore.pp_failure_kind kind)
-            | Explore.Pass _ ->
-              Alcotest.failf "seed %d did not reproduce the counterexample"
-                seed)
-          | None -> (
-            match
-              Explore.run_deviations ~max_steps:t.max_steps t.scen
-                v.deviations
-            with
-            | Some (Explore.Check _) -> ()
-            | _ ->
-              Alcotest.fail
-                "deviation list did not reproduce the counterexample"));
-          v)
-  in
-  ignore v;
-  (* Pristine code: the same exploration must be violation-free. *)
-  match Scenarios.run t with
-  | Explore.Pass _ -> ()
-  | Explore.Fail v ->
-    Alcotest.fail (record_counterexample (t.scen.name ^ " (clean)") v)
-
-(* Fourth mutation, against the adaptive frontend (PR 9): disable the
-   narrow path's g-conflict check ([adaptive.switch.skip]). The check is
-   the only edge making an already-granted g holder visible to a narrow
-   acquirer, so the explorer must produce an overlap counterexample on
-   the switch-race scenario, the counterexample must replay from its
-   seed (or deviation list), and pristine code must come back clean. *)
-let adaptive_mutation () =
-  let t = Scenarios.adaptive_mutation_target in
-  Fault.arm
-    (Fault.plan ~p:1.0 ~cas_fail_p:0.0 ~relax_spins:0 ~yield_every:0
-       ~delay_ns:0
-       ~unsound:[ "adaptive.switch.skip" ]
-       ~only:[ "adaptive.switch" ] ~seed:909 ());
-  let v =
-    Fun.protect ~finally:Fault.disarm (fun () ->
-        match Scenarios.run t with
-        | Explore.Pass { executions } ->
-          Alcotest.failf
-            "adaptive g-check disabled but %d explored schedules all \
-             passed —\n\
-             the checker is not observing the cross-regime handshake"
-            executions
-        | Explore.Fail v ->
-          (match v.kind with
-          | Explore.Check _ -> ()
-          | k ->
-            Alcotest.failf "expected an oracle overlap, got: %s"
-              (Format.asprintf "%a" Explore.pp_failure_kind k));
-          Printf.printf
-            "adaptive mutation counterexample found after %d schedule(s) \
-             (expected):\n\
-             %s\n\
-             %!"
-            v.executions
-            (Explore.violation_to_string t.scen.name v);
-          (match v.seed with
-          | Some seed -> (
-            match Explore.replay ~max_steps:t.max_steps t.scen ~seed with
-            | Explore.Fail { kind = Explore.Check _; _ } -> ()
-            | Explore.Fail { kind; _ } ->
-              Alcotest.failf "seed %d replayed to a different failure: %s"
-                seed
-                (Format.asprintf "%a" Explore.pp_failure_kind kind)
-            | Explore.Pass _ ->
-              Alcotest.failf "seed %d did not reproduce the counterexample"
-                seed)
-          | None -> (
-            match
-              Explore.run_deviations ~max_steps:t.max_steps t.scen
-                v.deviations
-            with
-            | Some (Explore.Check _) -> ()
-            | _ ->
-              Alcotest.fail
-                "deviation list did not reproduce the counterexample"));
-          v)
-  in
-  ignore v;
-  (* Pristine code: the same exploration must be violation-free. *)
-  match Scenarios.run t with
-  | Explore.Pass _ -> ()
-  | Explore.Fail v ->
-    Alcotest.fail (record_counterexample (t.scen.name ^ " (clean)") v)
-
-(* Fifth mutation, against the reader-bias handshake (PR 9): disable the
-   writer's reader-slot sweep ([adaptive.rbias.skip]). The sweep is the
-   only edge making a biased fast-path reader — which holds no list node
-   anywhere — visible to a granted writer, so the explorer must produce
-   an overlap counterexample on the reader-bias scenario, replayable
-   from its seed (or deviation list), and pristine code must come back
-   clean. *)
-let adaptive_rbias_mutation () =
-  let t = Scenarios.adaptive_rbias_mutation_target in
-  Fault.arm
-    (Fault.plan ~p:1.0 ~cas_fail_p:0.0 ~relax_spins:0 ~yield_every:0
-       ~delay_ns:0
-       ~unsound:[ "adaptive.rbias.skip" ]
-       ~only:[ "adaptive.rbias" ] ~seed:911 ());
-  let v =
-    Fun.protect ~finally:Fault.disarm (fun () ->
-        match Scenarios.run t with
-        | Explore.Pass { executions } ->
-          Alcotest.failf
-            "adaptive reader-slot sweep disabled but %d explored schedules \
-             all passed —\n\
-             the checker is not observing the bias handshake"
-            executions
-        | Explore.Fail v ->
-          (match v.kind with
-          | Explore.Check _ -> ()
-          | k ->
-            Alcotest.failf "expected an oracle overlap, got: %s"
-              (Format.asprintf "%a" Explore.pp_failure_kind k));
-          Printf.printf
-            "adaptive rbias mutation counterexample found after %d \
-             schedule(s) (expected):\n\
-             %s\n\
-             %!"
-            v.executions
-            (Explore.violation_to_string t.scen.name v);
-          (match v.seed with
-          | Some seed -> (
-            match Explore.replay ~max_steps:t.max_steps t.scen ~seed with
-            | Explore.Fail { kind = Explore.Check _; _ } -> ()
-            | Explore.Fail { kind; _ } ->
-              Alcotest.failf "seed %d replayed to a different failure: %s"
-                seed
-                (Format.asprintf "%a" Explore.pp_failure_kind kind)
-            | Explore.Pass _ ->
-              Alcotest.failf "seed %d did not reproduce the counterexample"
-                seed)
-          | None -> (
-            match
-              Explore.run_deviations ~max_steps:t.max_steps t.scen
-                v.deviations
-            with
-            | Some (Explore.Check _) -> ()
-            | _ ->
-              Alcotest.fail
-                "deviation list did not reproduce the counterexample"));
-          v)
-  in
-  ignore v;
+         | Some seed -> (
+           match Explore.replay ~max_steps:t.max_steps t.scen ~seed with
+           | Explore.Fail { kind; _ } when expected m kind -> ()
+           | Explore.Fail { kind; _ } ->
+             Alcotest.failf "seed %d replayed to a different failure: %s"
+               seed (failure_kind kind)
+           | Explore.Pass _ ->
+             Alcotest.failf "seed %d did not reproduce the counterexample"
+               seed)
+         | None -> (
+           match
+             Explore.run_deviations ~max_steps:t.max_steps t.scen
+               v.deviations
+           with
+           | Some kind when expected m kind -> ()
+           | _ ->
+             Alcotest.fail
+               "deviation list did not reproduce the counterexample")));
   (* Pristine code: the same exploration must be violation-free. *)
   match Scenarios.run t with
   | Explore.Pass _ -> ()
@@ -366,12 +172,6 @@ let () =
   Alcotest.run "model"
     [ ("scenarios", cases);
       ( "mutation",
-        [ Alcotest.test_case "w_validate-skip counterexample" `Quick mutation;
-          Alcotest.test_case "parker-wake-skip counterexample" `Quick
-            parker_mutation;
-          Alcotest.test_case "skip-rw w_validate-skip counterexample" `Quick
-            skip_mutation;
-          Alcotest.test_case "adaptive switch-skip counterexample" `Quick
-            adaptive_mutation;
-          Alcotest.test_case "adaptive rbias-skip counterexample" `Quick
-            adaptive_rbias_mutation ] ) ]
+        List.map
+          (fun m -> Alcotest.test_case m.case `Quick (mutation m))
+          mutations ) ]

@@ -391,7 +391,10 @@ let mutex_stress ?fast_path ?fairness ?park ~domains ~iters () =
   let barrier = make_barrier domains in
   let ds =
     spawn_n domains (fun id ->
-        let rng = Rlk_primitives.Prng.create ~seed:(id * 7919 + 13) in
+        let rng =
+          Rlk_primitives.Prng.create
+            ~seed:(Stress_helpers.domain_seed ~salt:7919 id)
+        in
         barrier ();
         for _ = 1 to iters do
           let r = random_range rng in
@@ -403,11 +406,13 @@ let mutex_stress ?fast_path ?fairness ?park ~domains ~iters () =
   in
   join_all ds;
   Alcotest.(check bool) "no exclusion violation" false (Atomic.get violated);
-  Alcotest.(check (list reject)) "list drained of unmarked nodes eventually"
-    [] (List.map (fun _ -> ()) (List_mutex.holders l) |> List.filter (fun _ -> false));
+  Alcotest.(check (list string)) "no unmarked node left after the join" []
+    (List.map Range.to_string (List_mutex.holders l));
   let m = List_mutex.metrics l in
   Alcotest.(check int) "all acquisitions happened" (domains * iters)
-    m.Metrics.acquisitions
+    m.Metrics.acquisitions;
+  if park = Some false then
+    Alcotest.(check int) "spin mode never parks" 0 m.Metrics.parks
 
 let test_mutex_stress_plain () = mutex_stress ~domains:4 ~iters:2_000 ()
 
@@ -807,35 +812,49 @@ let test_node_pool_recycles () =
   if recycled < 2 * fresh || recycled < iters / 2 then
     Alcotest.failf "pool not recycling: fresh=%d recycled=%d" fresh recycled
 
+(* Minor words per acquire+release pair over a warmed per-domain node
+   pool, and how many of the measured pairs took the fast path. *)
+let pair_words pair fast_path_hits =
+  for _ = 1 to 1_000 do pair () done;
+  let f0 = fast_path_hits () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do pair () done;
+  let per_pair = (Gc.minor_words () -. w0) /. 10_000. in
+  (per_pair, fast_path_hits () - f0)
+
 (* Links are canonical per (node, mark), so the insert path allocates no
    link record: insert, validate, release-mark and the next pair's helper
    unlink of the marked node all CAS in links built once per node. What
-   is left (48 words per pair on OCaml 5.1, no flambda) is the insert
-   attempt's closures and failure counter. A fresh link per CAS costs 14
-   more words per pair: the insert CAS's link and [Some] box, the node's
-   own [next], the release mark and the helper unlink. *)
+   is left (48 words per list-rw read pair on OCaml 5.1, no flambda) is
+   the insert attempt's closures and failure counter; list-ex skips the
+   validation scan and its closure (34 words per write pair). A fresh
+   link per CAS costs 14 more words per pair: the insert CAS's link and
+   [Some] box, the node's own [next], the release mark and the helper
+   unlink. Each lock keeps one resident holder, so no pair takes the fast
+   path. *)
 let test_insert_path_allocation () =
-  let l = List_rw.create () in
-  let resident = List_rw.read_acquire l (range 0 1) in
+  let check lock ~bound (per_pair, fast_hits) =
+    Alcotest.(check int) (lock ^ ": no pair took the fast path") 0 fast_hits;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: insert-path pair allocates <= %.0f words (got %.2f)"
+         lock bound per_pair)
+      true (per_pair <= bound)
+  in
   let r = range 2 3 in
-  (* Warm the per-domain node pool. *)
-  for _ = 1 to 1_000 do
-    List_rw.release l (List_rw.read_acquire l r)
-  done;
-  let m0 = List_rw.metrics l in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    List_rw.release l (List_rw.read_acquire l r)
-  done;
-  let per_pair = (Gc.minor_words () -. w0) /. 10_000. in
-  let m1 = List_rw.metrics l in
-  List_rw.release l resident;
-  Alcotest.(check int) "no pair took the fast path" 0
-    (m1.Metrics.fast_path_hits - m0.Metrics.fast_path_hits);
-  Alcotest.(check bool)
-    (Printf.sprintf "insert-path pair allocates <= 52 words (got %.2f)"
-       per_pair)
-    true (per_pair <= 52.0)
+  let rw = List_rw.create () in
+  let resident = List_rw.read_acquire rw (range 0 1) in
+  check "list-rw reader" ~bound:52.
+    (pair_words
+       (fun () -> List_rw.release rw (List_rw.read_acquire rw r))
+       (fun () -> (List_rw.metrics rw).Metrics.fast_path_hits));
+  List_rw.release rw resident;
+  let ex = List_mutex.create () in
+  let resident = List_mutex.acquire ex (range 0 1) in
+  check "list-ex writer" ~bound:36.
+    (pair_words
+       (fun () -> List_mutex.release ex (List_mutex.acquire ex r))
+       (fun () -> (List_mutex.metrics ex).Metrics.fast_path_hits));
+  List_mutex.release ex resident
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false ~rand:(Stress_helpers.qcheck_rand ())) tests)
 
