@@ -522,12 +522,7 @@ let ablation cfg =
   in
   Array.iter Domain.join ds;
   let m = Rlk.List_rw.metrics l in
-  say "   %a" (fun ppf () -> Rlk.Metrics.pp_snapshot ppf m) ();
-  say "-- Ablation: node pool behaviour (Section 4.4) --";
-  let st = Rlk.Node.pool_stats () in
-  say "   fresh allocations: %d, recycled: %d, epoch barriers: %d, trimmed: %d"
-    st.Rlk_ebr.Pool.fresh_allocations st.Rlk_ebr.Pool.recycled
-    st.Rlk_ebr.Pool.barriers st.Rlk_ebr.Pool.trimmed
+  say "   %a" (fun ppf () -> Rlk.Metrics.pp_snapshot ppf m) ()
 
 (* ---------------- Lock health (--json) ---------------- *)
 

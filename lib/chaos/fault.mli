@@ -16,8 +16,7 @@
     - {!cas_fails} — spurious CAS failure: the caller treats its CAS as
       failed (without attempting it) and takes the retry path;
     - {!delay} — a delayed hold (e.g. a release that dawdles before
-      marking its node, or an epoch that stays pinned), stretching grace
-      periods and waiter queues;
+      marking its node), stretching waiter queues;
     - {!skip} — {e deliberately unsound}: skip a correctness-critical
       step (fires only for points named in the plan's [unsound] list).
       Used to verify the torture harness actually catches bugs; see

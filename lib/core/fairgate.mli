@@ -30,8 +30,7 @@ val failures_exceeded : session -> failures:int -> bool
 (** Should this acquisition escalate now? Always false once impatient. *)
 
 val escalate : session -> unit
-(** Switch to impatient mode: bump the counter, take the write side.
-    Call only from outside an epoch traversal. *)
+(** Switch to impatient mode: bump the counter, take the write side. *)
 
 val finish : session -> unit
 (** The acquisition succeeded: release whatever side is held and, if

@@ -9,8 +9,9 @@
     Acquired ranges live in a linked list sorted by range start; inserting a
     node {e is} acquiring the range, so overlapping acquisitions compete on
     a single CAS. Release marks the node logically deleted; marked nodes are
-    unlinked by later traversals and recycled through the epoch-based pools
-    of Section 4.4. No internal lock is taken in the common case.
+    unlinked by later traversals and left to the GC (no node recycling,
+    unlike the paper's Section 4.4). No internal lock is taken in the
+    common case.
 
     Options reproduce the paper's refinements:
     - [fast_path] (Section 4.5): when the list is empty, acquisition is a

@@ -1,4 +1,4 @@
 (* The production instance: List_rw_core applied to the pass-through
-   runtime, the global Node pool, and the production Fairgate (see
+   runtime, the production Node and Fairgate (see
    list_rw_core.ml for the body, list_rw.mli for semantics). *)
 include List_rw_core.Make (Rlk_primitives.Traced_atomic.Real) (Node) (Fairgate)

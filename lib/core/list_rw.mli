@@ -58,7 +58,7 @@ val acquire_opt :
     {!Rlk_primitives.Clock.now_ns} timeline; [max_int] = forever). On
     timeout the partially inserted node is unwound — marked deleted if the
     insertion CAS had succeeded (mark-and-retreat, the release mechanism),
-    recycled directly otherwise — and [None] is returned. *)
+    dropped otherwise — and [None] is returned. *)
 
 val read_acquire_opt : t -> deadline_ns:int -> Range.t -> handle option
 

@@ -6,9 +6,9 @@ module Waitboard = Rlk_chaos.Waitboard
    range lock, Section 4.2, incl. the Section 4.5 fast path); see
    list_rw.mli for semantics. [List_rw] is this functor applied to
    {!Traced_atomic.Real}, the production {!Node} and {!Fairgate}; the
-   model checker applies it to its recording runtime and a fresh node
-   instance per explored run, which is how the insert/validate races the
-   paper reasons about informally get explored exhaustively.
+   model checker applies it to its recording runtime, which is how the
+   insert/validate races the paper reasons about informally get explored
+   exhaustively.
 
    The protocol (insert, validate, mark, help-unlink) is written once, in
    [Make_located], over a {e locator}: the component that decides where a
@@ -38,7 +38,7 @@ type preference = Prefer_readers | Prefer_writers
    - [start] gives the cell the insert walk, its restarts and the writer
      validation scan begin at. Every node that could conflict with [node]
      and was linked before the call must lie past that cell;
-   - [granted] after a grant, outside the epoch;
+   - [granted] after a grant;
    - [releasing] at release, before the node is marked. *)
 module type LOCATOR = sig
   type node
@@ -132,7 +132,7 @@ struct
   exception Out_of_budget
   exception Would_block
   exception Validation_failed
-  exception Timed_out  (* before our node linked: recycle it directly *)
+  exception Timed_out  (* before our node linked: drop it *)
   exception Timed_out_linked  (* after: unwind by mark-and-retreat *)
 
   (* History hooks for the verification oracle (lib/check): live only when
@@ -182,9 +182,8 @@ struct
      through the cell [prev]: the paper's raw-pointer CAS, which silently
      fails when [prev] no longer holds the unmarked pointer to [c]. *)
   let try_unlink prev c cl =
-    if Sim.A.get prev == c.N.live_link
-       && Sim.A.compare_and_set prev c.N.live_link (N.unmarked cl)
-    then N.retire c
+    if Sim.A.get prev == c.N.live_link then
+      ignore (Sim.A.compare_and_set prev c.N.live_link (N.unmarked cl))
 
   (* Blocking-wait back-end shared by every conflict wait below. Three
      strategies:
@@ -331,10 +330,10 @@ struct
       let start = L.start t.index node in
       go start (Sim.A.get start).N.succ
 
-  (* One insertion-plus-validation attempt; runs inside the epoch. A
-     deadline expiring after the insertion CAS surfaces as
-     [Timed_out_linked], so a timed-out caller knows whether to
-     mark-and-retreat (linked) or recycle directly (not). *)
+  (* One insertion-plus-validation attempt. A deadline expiring after the
+     insertion CAS surfaces as [Timed_out_linked], so a timed-out caller
+     knows whether to mark-and-retreat (linked) or just drop its node
+     (not). *)
   let try_insert t session node failures ~blocking ~deadline_ns =
     let fail_event () =
       incr failures;
@@ -361,8 +360,7 @@ struct
         | Some cur ->
           let curl = Sim.A.get cur.N.next in
           if curl.N.marked then begin
-            if Sim.A.compare_and_set prev l (N.unmarked curl) then
-              N.retire cur;
+            ignore (Sim.A.compare_and_set prev l (N.unmarked curl));
             traverse prev
           end
           else begin
@@ -431,32 +429,27 @@ struct
       Metrics.fast_path_hit t.metrics;
       node
     end
-    else begin
-      N.epoch_enter ();
+    else
       match
         try_insert t session node failures ~blocking:true ~deadline_ns:max_int
       with
-      | () -> N.epoch_leave (); node
+      | () -> node
       | exception Validation_failed ->
-        N.epoch_leave ();
         incr failures;
         if G.failures_exceeded session ~failures:!failures then begin
           Metrics.escalation t.metrics;
           G.escalate session
         end;
-        (* The abandoned node is still linked (marked); others unlink and
-           recycle it. Start over with a fresh one. *)
+        (* The abandoned node is still linked (marked); others unlink it.
+           Start over with a fresh one. *)
         acquire_blocking t session failures r (N.alloc ~reader:node.N.reader r)
       | exception Out_of_budget ->
-        N.epoch_leave ();
         Metrics.escalation t.metrics;
         G.escalate session;
         acquire_blocking t session failures r node
-      | exception e -> N.epoch_leave (); raise e
-    end
 
   (* Grant epilogue shared by every acquisition path: the locator's
-     post-grant hook (outside the epoch), then the history record. *)
+     post-grant hook, then the history record. *)
   let granted t node =
     L.granted t.index node;
     hist_acquired t node
@@ -507,30 +500,20 @@ struct
       granted t node;
       Some node
     end
-    else begin
-      N.epoch_enter ();
+    else
       match
         try_insert t (G.start None) node (ref 0) ~blocking:false
           ~deadline_ns:max_int
       with
       | () ->
-        N.epoch_leave ();
         Metrics.acquisition t.metrics;
         granted t node;
         Some node
-      | exception Would_block ->
-        N.epoch_leave ();
-        (* Never linked: recycle directly. *)
-        N.retire node;
+      | exception (Would_block | Validation_failed) ->
+        (* Never linked, or linked then self-deleted (others will unlink
+           it). *)
         hist_failed t ~mode r;
         None
-      | exception Validation_failed ->
-        (* Linked then self-deleted; others will unlink it. *)
-        N.epoch_leave ();
-        hist_failed t ~mode r;
-        None
-      | exception e -> N.epoch_leave (); raise e
-    end
 
   let try_read_acquire t r = try_acquire_nb t ~reader:true r
 
@@ -539,10 +522,10 @@ struct
   (* Deadline-bounded acquisition. Validation failures retry with a fresh
      node (as in the blocking path) while the deadline allows; a timeout
      unwinds by mark-and-retreat when the node is linked
-     ([Timed_out_linked]) — exactly the release mechanism — and by direct
-     recycling when it never was ([Timed_out]). No
-     fairness escalation: the impatient mode's auxiliary lock cannot honour
-     a deadline. *)
+     ([Timed_out_linked]) — exactly the release mechanism — and simply
+     drops the node when it never was ([Timed_out]). No fairness
+     escalation: the impatient mode's auxiliary lock cannot honour a
+     deadline. *)
   let acquire_opt t ~mode ~deadline_ns r =
     let reader =
       match mode with Lockstat.Read -> true | Lockstat.Write -> false
@@ -555,29 +538,21 @@ struct
         Metrics.fast_path_hit t.metrics;
         Some node
       end
-      else begin
-        N.epoch_enter ();
+      else
         match
           try_insert t session node (ref 0) ~blocking:true ~deadline_ns
         with
-        | () -> N.epoch_leave (); Some node
+        | () -> Some node
         | exception Validation_failed ->
-          N.epoch_leave ();
           (* Our node is already marked; retry with a fresh one unless the
              deadline has passed. *)
           if deadline_ns <> max_int && Clock.now_ns () > deadline_ns then None
           else attempt (N.alloc ~reader r)
-        | exception Timed_out ->
-          N.epoch_leave ();
-          N.retire node;
-          None
+        | exception Timed_out -> None
         | exception Timed_out_linked ->
-          N.epoch_leave ();
           mark_deleted node;
           wake_released t node;
           None
-        | exception e -> N.epoch_leave (); raise e
-      end
     in
     let result = attempt (N.alloc ~reader r) in
     (match result with
@@ -602,13 +577,10 @@ struct
     L.releasing t.index node;
     let l = if t.fast_path then Sim.A.get t.head else N.nil in
     if l == node.N.self_link && Sim.A.compare_and_set t.head l N.nil
-    then begin
+    then
       (* Eagerly removed from the head, but a wide (drain) waiter may be
-         parked on the head link changing: wake before the node
-         recycles. *)
-      wake_released t node;
-      N.retire node
-    end
+         parked on the head link changing. *)
+      wake_released t node
     else begin
       mark_deleted node;
       wake_released t node
@@ -650,7 +622,7 @@ struct
       (* Empty list: no holder to wait for, and the seq-cst head load
          orders after the caller's counter raise, so any narrow acquirer
          that links a node later must observe the raised counter and
-         retreat. Skipping the pinned walk here keeps wide acquisitions
+         retreat. Skipping the walk here keeps wide acquisitions
          over idle shards at one atomic load per shard. *)
       true
     else drain_conflicts_slow t ~reader ~blocking ~deadline_ns r
@@ -672,68 +644,64 @@ struct
       Waitboard.wait_end t.board;
       ok
     in
-    N.epoch_pin (fun () ->
-        let rec walk cur =
-          match cur with
-          | None -> true
-          | Some c ->
-            if c.N.lo >= hi then true (* list sorted by lo: nothing past *)
-            else
-              let cl = Sim.A.get c.N.next in
-              if cl.N.marked then walk cl.N.succ
-              else if not (conflicts c) then walk cl.N.succ
-              else if not blocking then false
-              else if wait_marked c then walk (Sim.A.get c.N.next).N.succ
-              else false
-        in
-        let rec from_head () =
-          let l = Sim.A.get t.head in
-          match l.N.succ with
-          | None -> true
-          | Some n ->
-            if l.N.marked then begin
-              (* Fast-path holder: an exclusive single-node claim of the
-                 whole list. Its release (or demotion by an inserter)
-                 replaces the head link, so wait for the head to change. *)
-              if not (conflicts n) then true
-              else if not blocking then false
-              else begin
-                Metrics.overlap_wait t.metrics;
-                Waitboard.wait_begin t.board ~lo ~hi ~write:(not reader);
-                (* Park on the holder's range: the head changes either at
-                   its release (whose wake carries exactly that range) or
-                   at a demotion by an inserter — and an inserter only
-                   strips the head mark on its way to waiting out the same
-                   conflict, so the deferred wake at the real release
-                   still unblocks us. *)
-                let ok =
-                  wait_pred t ~wlo:n.N.lo ~whi:n.N.hi ~deadline_ns
-                    (fun () -> Sim.A.get t.head != l)
-                in
-                Waitboard.wait_end t.board;
-                if not ok then false else from_head ()
-              end
-            end
-            else walk (Some n)
-        in
-        from_head ())
+    let rec walk cur =
+      match cur with
+      | None -> true
+      | Some c ->
+        if c.N.lo >= hi then true (* list sorted by lo: nothing past *)
+        else
+          let cl = Sim.A.get c.N.next in
+          if cl.N.marked then walk cl.N.succ
+          else if not (conflicts c) then walk cl.N.succ
+          else if not blocking then false
+          else if wait_marked c then walk (Sim.A.get c.N.next).N.succ
+          else false
+    in
+    let rec from_head () =
+      let l = Sim.A.get t.head in
+      match l.N.succ with
+      | None -> true
+      | Some n ->
+        if l.N.marked then begin
+          (* Fast-path holder: an exclusive single-node claim of the
+             whole list. Its release (or demotion by an inserter)
+             replaces the head link, so wait for the head to change. *)
+          if not (conflicts n) then true
+          else if not blocking then false
+          else begin
+            Metrics.overlap_wait t.metrics;
+            Waitboard.wait_begin t.board ~lo ~hi ~write:(not reader);
+            (* Park on the holder's range: the head changes either at
+               its release (whose wake carries exactly that range) or
+               at a demotion by an inserter — and an inserter only
+               strips the head mark on its way to waiting out the same
+               conflict, so the deferred wake at the real release
+               still unblocks us. *)
+            let ok =
+              wait_pred t ~wlo:n.N.lo ~whi:n.N.hi ~deadline_ns
+                (fun () -> Sim.A.get t.head != l)
+            in
+            Waitboard.wait_end t.board;
+            if not ok then false else from_head ()
+          end
+        end
+        else walk (Some n)
+    in
+    from_head ()
 
   let holders t =
-    N.epoch_pin (fun () ->
-        let rec walk l acc =
-          match l.N.succ with
-          | None -> List.rev acc
-          | Some n ->
-            let nl = Sim.A.get n.N.next in
-            let acc =
-              if nl.N.marked then acc
-              else
-                (N.range_of n, if n.N.reader then `Reader else `Writer)
-                :: acc
-            in
-            walk nl acc
+    let rec walk l acc =
+      match l.N.succ with
+      | None -> List.rev acc
+      | Some n ->
+        let nl = Sim.A.get n.N.next in
+        let acc =
+          if nl.N.marked then acc
+          else (N.range_of n, if n.N.reader then `Reader else `Writer) :: acc
         in
-        walk (Sim.A.get t.head) [])
+        walk nl acc
+    in
+    walk (Sim.A.get t.head) []
 end
 
 (* The plain list: the locator's state is the head cell itself, and every

@@ -1,15 +1,7 @@
-(* The production instance: one global epoch and pool pair shared by all
-   list-based range locks, exactly as in the paper (see node_core.ml for
-   the body and node.mli for semantics).
+(* The production instance (see node_core.ml for the body and node.mli
+   for semantics). *)
+include Node_core.Make (Rlk_primitives.Traced_atomic.Real)
 
-   The paper uses N = 128; we use a larger pool because on an
-   oversubscribed 2-CPU host an epoch barrier that observes a descheduled
-   traverser stalls for a scheduling quantum, so barriers must be rarer to
-   stay amortized (see DESIGN.md "Known deviations"). *)
-include
-  Node_core.Make (Rlk_primitives.Traced_atomic.Real) (Rlk_ebr.Epoch)
-    (Rlk_ebr.Pool)
-    (struct
-      let pool_target = 2048
-    end)
-    ()
+let pool_stats () =
+  { Rlk_ebr.Pool.fresh_allocations = 0; recycled = 0; barriers = 0;
+    trimmed = 0 }

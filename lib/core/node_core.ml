@@ -1,10 +1,8 @@
 open Rlk_primitives
 
-(* Functorized body of {!Node}: the paper's [LNode] plus its epoch/pool
-   plumbing, parameterized over the simulatable runtime (see
-   traced_atomic.ml) and over the epoch/pool modules so the production
-   instance shares [Rlk_ebr]'s types while the model checker builds a
-   fresh, isolated instance per explored run. *)
+(* Functorized body of {!Node}: the paper's [LNode], parameterized over
+   the simulatable runtime (see traced_atomic.ml) so the model checker can
+   build nodes whose link cells are its recording cells. *)
 
 (* The node interface consumed by the functorized list locks. ['a aref] is
    the SIM's atomic cell constructor ([= 'a Atomic.t] in production); the
@@ -13,9 +11,9 @@ module type S = sig
   type 'a aref
 
   type t = {
-    mutable lo : int;
-    mutable hi : int;
-    mutable reader : bool;
+    lo : int;
+    hi : int;
+    reader : bool;
     mutable span : int;
     next : link aref;
     mutable live_link : link;
@@ -23,7 +21,7 @@ module type S = sig
     tower : t option aref array;
   }
 
-  and link = { marked : bool; succ : t option; twin : link }
+  and link = { marked : bool; succ : t option; mutable twin : link }
 
   val nil : link
 
@@ -34,39 +32,23 @@ module type S = sig
   val range_of : t -> Range.t
 
   val alloc : reader:bool -> Range.t -> t
-
-  val retire : t -> unit
-
-  val epoch_enter : unit -> unit
-
-  val epoch_leave : unit -> unit
-
-  val epoch_pin : (unit -> 'a) -> 'a
 end
 
-(* Generative ([()]): applying the functor creates the instance's own
-   epoch and pool state. [tower_cells] sizes each node's index tower (the
-   skip-index core's hint levels above the list); list nodes use [0] and
-   share the one empty array, so the tower costs them one field. Pooled
-   nodes keep every tower cell [None]: the index clears a node's tower
-   before the node can be marked, so [alloc] needs no tower scrub. *)
+(* [tower_cells] sizes each node's index tower (the skip-index core's hint
+   levels above the list); list nodes use [0] and share the one empty
+   array, so the tower costs them one field. *)
 module Make_towered
     (Sim : Traced_atomic.SIM)
-    (Epoch : Rlk_ebr.Epoch_core.S)
-    (Pool : Rlk_ebr.Pool_core.S with type epoch = Epoch.t)
     (Cfg : sig
-       val pool_target : int
-
        val tower_cells : int
-     end)
-    () =
+     end) =
 struct
   type 'a aref = 'a Sim.A.t
 
   type t = {
-    mutable lo : int;
-    mutable hi : int;
-    mutable reader : bool;
+    lo : int;
+    hi : int;
+    reader : bool;
     mutable span : int;
     next : link aref;
     mutable live_link : link;
@@ -74,14 +56,15 @@ struct
     tower : t option aref array;  (* cell [l-1] holds index level [l] *)
   }
 
-  and link = { marked : bool; succ : t option; twin : link }
+  and link = { marked : bool; succ : t option; mutable twin : link }
 
   (* Links are canonical per (successor, mark): the paper's pointer word
      with its mark bit, so "unmarked pointer to [n]" is always the one
      record [n.live_link] and no CAS allocates. Reusing the same record
-     across CASes brings back the ABA of a raw pointer CAS, which is what
-     the paper relies on reclamation to exclude: a node stays in its
-     incarnation while any walker that may hold its link is pinned.
+     across CASes brings back the ABA of a raw pointer CAS, which the
+     paper excludes through reclamation. Here a node is never reused: its
+     range is immutable and the GC frees it only once no walker holds it,
+     so a stale CAS that succeeds links the same live node it read.
 
      Each link points at its [twin] (same successor, other mark), so
      flipping the mark of a link that was read touches only that link,
@@ -96,61 +79,32 @@ struct
 
   let range_of n = Range.v ~lo:n.lo ~hi:n.hi
 
-  let epoch = Epoch.create ()
+  (* A fresh node per acquisition; a released node is simply dropped. Its
+     two links share one [Some n] box, so a walk goes cell -> link -> box
+     -> node, all allocated together. The cycles (node -> link -> node,
+     link -> twin -> link) are closed by three stores before the node is
+     published, not by [let rec], which costs two dummy blocks and two C
+     calls per node. [empty_cell] is top-level so [Array.init] gets a
+     closure that is not allocated per node. *)
+  let empty_cell _ = Sim.A.make None
 
-  let epoch_enter () = Epoch.enter epoch
-
-  let epoch_leave () = Epoch.leave epoch
-
-  let epoch_pin f = Epoch.pin epoch f
-
-  (* A node's two links, built once and shared by every incarnation: the
-     range lives in the node's mutable fields, not in the link. They share
-     one [Some n] box, so a walk goes cell -> link -> box -> node, all
-     allocated together with the node. *)
-  let fresh () =
+  let alloc ~reader r =
     let n =
-      { lo = 0; hi = 1; reader = false; span = -1; next = Sim.A.make nil;
-        live_link = nil; self_link = nil;
-        tower = Array.init Cfg.tower_cells (fun _ -> Sim.A.make None) }
+      { lo = Range.lo r; hi = Range.hi r; reader; span = -1;
+        next = Sim.A.make nil; live_link = nil; self_link = nil;
+        tower = Array.init Cfg.tower_cells empty_cell }
     in
     let succ = Some n in
-    let rec live = { marked = false; succ; twin = self }
-    and self = { marked = true; succ; twin = live } in
+    let live = { marked = false; succ; twin = nil } in
+    let self = { marked = true; succ; twin = live } in
+    live.twin <- self;
     n.live_link <- live;
     n.self_link <- self;
     n
-
-  let pool = Pool.create ~target:Cfg.pool_target ~alloc:fresh epoch
-
-  let alloc ~reader r =
-    let n = Pool.get pool in
-    n.lo <- Range.lo r;
-    n.hi <- Range.hi r;
-    n.reader <- reader;
-    n.span <- -1;
-    (* Nodes released on the fast path come back with [next] still [nil];
-       checking first trades a fence for a load on that (hot) reuse path. *)
-    if Sim.A.get n.next != nil then Sim.A.set n.next nil;
-    n
-
-  let retire n = Pool.retire pool n
-
-  let pool_stats () = Pool.stats pool
 end
 
-module Make
-    (Sim : Traced_atomic.SIM)
-    (Epoch : Rlk_ebr.Epoch_core.S)
-    (Pool : Rlk_ebr.Pool_core.S with type epoch = Epoch.t)
-    (Cfg : sig
-       val pool_target : int
-     end)
-    () =
-  Make_towered (Sim) (Epoch) (Pool)
+module Make (Sim : Traced_atomic.SIM) =
+  Make_towered (Sim)
     (struct
-      include Cfg
-
       let tower_cells = 0
     end)
-    ()

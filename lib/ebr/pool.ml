@@ -1,3 +1,12 @@
-(* The production instance: Pool_core applied to the pass-through runtime
-   and the production Epoch (see pool_core.ml for the body). *)
-include Pool_core.Make (Rlk_primitives.Traced_atomic.Real) (Epoch)
+(* The counter record of the removed node pool. Nodes are plain GC
+   allocations; no pool exists. The record is kept only because the
+   repository benchmark still links [rlk_ebr] and reads
+   [Rlk.Node.pool_stats], which now reports all zeros. It goes once the
+   benchmark drops its [pool.*] rows. *)
+
+type stats = {
+  fresh_allocations : int;
+  recycled : int;
+  barriers : int;
+  trimmed : int;
+}

@@ -1,9 +1,9 @@
 open Rlk_primitives
 
-(* Production instance: the skip-index range lock over the real atomics
-   and the shared EBR runtime. Tower heights are the classic p = 1/2
-   coin flip from a per-domain PRNG (same scheme as lib/skiplist), which
-   keeps expected descent cost at O(log n) with ~2 pointers per node. *)
+(* Production instance: the skip-index range lock over the real atomics.
+   Tower heights are the classic p = 1/2 coin flip from a per-domain PRNG
+   (same scheme as lib/skiplist), which keeps expected descent cost at
+   O(log n) with ~2 pointers per node. *)
 
 let max_level = 14
 
@@ -18,11 +18,9 @@ let random_height () =
   in
   go 1
 
-include Skip_rw_core.Make (Traced_atomic.Real) (Rlk_ebr.Epoch) (Rlk_ebr.Pool)
+include Skip_rw_core.Make (Traced_atomic.Real)
     (struct
       let max_level = max_level
-
-      let pool_target = 512
 
       let height = random_height
     end)

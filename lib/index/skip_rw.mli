@@ -12,8 +12,8 @@
     number of concurrently held ranges instead of a head-to-position
     list walk. The bottom level remains the authoritative structure;
     towers are hints, mutated only under a per-lock guard and read
-    lock-free. Conflict waits park on the shared waiter queue; nodes are
-    reclaimed through EBR.
+    lock-free. Conflict waits park on the shared waiter queue; released
+    nodes are left to the GC.
 
     Unlike {!Rlk.List_rw} there is no empty-list fast path, no fairness
     gate and no writer preference. Blocked acquisitions park (see
@@ -56,17 +56,10 @@ val metrics : t -> Rlk.Metrics.snapshot
 val reset_metrics : t -> unit
 
 val holders : t -> (Rlk.Range.t * [ `Reader | `Writer ]) list
-(** Snapshot of the currently granted ranges (epoch-protected walk). *)
+(** Snapshot of the currently granted ranges. *)
 
 (** {1 Test probes} *)
 
 val check_structure : t -> (int, string) result
 (** Quiescent-only structural audit: bottom list sorted, towers point at
     unmarked bottom-reachable nodes. Returns the live range count. *)
-
-val probe_pin : (unit -> 'a) -> 'a
-(** Run [f] inside this instance's reclamation epoch — test hook for the
-    tower recycle-safety regression. *)
-
-val pool_barriers : unit -> int
-(** Number of grace-period barriers the node pool has completed. *)

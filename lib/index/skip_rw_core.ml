@@ -14,7 +14,7 @@ module Range = Rlk.Range
 
    - Level 0 (the "bottom") is the list core's marked-link list, run by
      the list core's own code: insert with CAS, validate, mark-and-
-     retreat, helper unlink + EBR retire. It is the *authoritative*
+     retreat, helper unlink. It is the *authoritative*
      structure: every correctness argument of the list lock carries over
      unchanged, and a protocol fix lands in both locks at once.
 
@@ -26,7 +26,7 @@ module Range = Rlk.Range
      writer mutex, making the hint layers single-writer: plain stores, no
      per-level CAS loops, and — crucially — no resurrection hazard where a
      racing unlinker re-installs a pointer to a node that has already
-     been retired. Tower *reads* (the descent) stay lock-free.
+     been released. Tower *reads* (the descent) stay lock-free.
 
    - The conflict window is bounded by [maxw], a monotone maximum of all
      granted widths: a node whose [lo] is below [node.lo - maxw] cannot
@@ -37,12 +37,12 @@ module Range = Rlk.Range
      scan that must see a conflicting node always uses a window wide
      enough to contain it.
 
-   - Reclamation order on release: tower unlink (the locator's
-     [releasing], under the guard) comes strictly *before* the bottom
-     mark. Helper unlinks at the bottom only ever see marked nodes, and a
-     marked node is guaranteed to be out of every tower — so the list
-     core's unlink-then-retire flow remains safe, and EBR pins protect
-     concurrent descents exactly as they protect list walks.
+   - Order on release: tower unlink (the locator's [releasing], under
+     the guard) comes strictly *before* the bottom mark. Helper unlinks
+     at the bottom only ever see marked nodes, and a marked node is
+     guaranteed to be out of every tower. A descent that reaches a
+     released node finds its tower cleared and, once the node is marked,
+     re-descends; the node is never reused, so its range stays valid.
 
    The instance fixes the list core's options: no empty-list fast path
    (a head-marked holder would bypass the towers), no fairness gate, and
@@ -59,8 +59,6 @@ module type CFG = sig
   val max_level : int
   (** Total number of levels including the bottom list; [>= 1]. *)
 
-  val pool_target : int
-
   val height : unit -> int
   (** Tower height drawn per granted node, clamped to
       [1 .. max_level]. [1] means bottom-only (no tower entry). Must be
@@ -69,26 +67,17 @@ module type CFG = sig
 end
 
 (* Generative ([()]): applying the functor creates the instance's own
-   epoch and pool state, like {!Rlk.Node_core.Make}. *)
-module Make
-    (Sim : Traced_atomic.SIM)
-    (Epoch : Rlk_ebr.Epoch_core.S)
-    (Pool : Rlk_ebr.Pool_core.S with type epoch = Epoch.t)
-    (Cfg : CFG)
-    () =
-struct
+   [tail] cells, so the model checker gets fresh ones per explored run. *)
+module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
   module Guard = Rwlock_core.Make (Sim)
 
   let tower_cells = Cfg.max_level - 1
 
   module N =
-    Rlk.Node_core.Make_towered (Sim) (Epoch) (Pool)
+    Rlk.Node_core.Make_towered (Sim)
       (struct
-        let pool_target = Cfg.pool_target
-
         let tower_cells = tower_cells
       end)
-      ()
 
   (* Ends every tower level, so a linked tower cell always holds [Some]: a
      node's linked cells are exactly its leading [Some] cells, and the
@@ -142,7 +131,7 @@ struct
       if w > cur && not (Sim.A.compare_and_set t.maxw cur w) then
         before_insert t r
 
-    (* ---- tower descent (lock-free, inside the caller's epoch) ----
+    (* ---- tower descent (lock-free) ----
 
        Last *unmarked* node with [lo < key] at the bottom level. The tower
        levels narrow the search; the bottom walk finishes it. The returned
@@ -183,12 +172,11 @@ struct
     let start t (node : N.t) =
       (find_pred t (node.N.lo - Sim.A.get t.maxw)).N.next
 
-    (* ---- tower maintenance (under the guard, outside the epoch) ----
+    (* ---- tower maintenance (under the guard) ----
 
-       No epoch pin is needed: while we hold the guard, no towered node
-       can be tower-unlinked, hence none can reach its bottom mark, hence
-       none can be retired — every pointer the walks below follow is to a
-       node whose reclamation is transitively blocked by the guard. *)
+       While we hold the guard, no towered node can be tower-unlinked,
+       hence none can reach its bottom mark: every tower pointer the walks
+       below follow is to a live node. *)
 
     (* Per-cell predecessors of [key] under the guard: one descent in
        which each level's walk resumes from the level above, so the whole
@@ -244,7 +232,7 @@ struct
       | _ -> p
 
     (* Tower first, then (in the list core) mark: a marked node is never
-       in a tower, so helper unlink + retire at the bottom stays safe. Only
+       in a tower, so helper unlink at the bottom stays safe. Only
        the node's own [granted] links its cells, so the unguarded test of
        cell 0 is stable. *)
     let releasing t (node : N.t) =
@@ -326,8 +314,4 @@ struct
       done;
       Ok !live
     with Bad msg -> Error msg
-
-  let probe_pin f = N.epoch_pin f
-
-  let pool_barriers () = (N.pool_stats ()).Pool.barriers
 end

@@ -3,9 +3,9 @@
 
    Each scenario's [build] runs once per explored schedule: it
    instantiates a *fresh* copy of the whole interleaving-critical stack —
-   epoch, pool, node, rwlock, fairness gate, list locks — over the
-   recording runtime ({!Sched.Sim}), so no state leaks between
-   executions and cell ids are assigned identically on every run.
+   node, rwlock, fairness gate, list locks — over the recording runtime
+   ({!Sched.Sim}), so no state leaks between executions and cell ids are
+   assigned identically on every run.
 
    Fibers record Acquired/Released/Failed events through a local
    recorder (manual {!Rlk.History.event} values — the global [History]
@@ -26,16 +26,9 @@ module Lockstat = Rlk_primitives.Lockstat
 let range lo hi = Rlk.Range.v ~lo ~hi
 
 (* The full functorized stack over the recording runtime. Generative: one
-   application = one isolated instance (its own epoch, pools, cells). *)
-module Stack
-    (Cfg : sig
-       val pool_target : int
-     end)
-    () =
-struct
-  module E = Rlk_ebr.Epoch_core.Make (Sched.Sim)
-  module P = Rlk_ebr.Pool_core.Make (Sched.Sim) (E)
-  module N = Rlk.Node_core.Make (Sched.Sim) (E) (P) (Cfg) ()
+   application = one isolated instance. *)
+module Stack () = struct
+  module N = Rlk.Node_core.Make (Sched.Sim)
   module RW = Rlk_primitives.Rwlock_core.Make (Sched.Sim)
   module G = Rlk.Fairgate_core.Make (Sched.Sim) (RW)
   module LM = Rlk.List_rw_core.Make_exclusive (Sched.Sim) (N) (G)
@@ -104,7 +97,7 @@ let scenario ?(bound = 2) ?(max_steps = 20_000) ?(full_only = false) name
    protocol with no fast path. *)
 let mutex_overlap =
   scenario "mutex-overlap" ~bound:3 (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock = S.LM.create () in
       let r = recorder () in
       let body lo hi () =
@@ -121,7 +114,7 @@ let mutex_overlap =
    must demote it (strip the head mark) before linking. *)
 let mutex_fastpath =
   scenario "mutex-fastpath" ~bound:3 (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock = S.LM.create ~fast_path:true () in
       let r = recorder () in
       let body lo hi () =
@@ -137,7 +130,7 @@ let mutex_fastpath =
    a [Some] grant must never overlap and a [None] must record Failed. *)
 let mutex_try =
   scenario "mutex-try" ~bound:3 (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock = S.LM.create () in
       let r = recorder () in
       let holder () =
@@ -161,7 +154,7 @@ let mutex_try =
    (full mode: ~8x the state space of the 2-fiber variants). *)
 let mutex_3dom =
   scenario "mutex-3dom" ~bound:2 ~full_only:true (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock = S.LM.create () in
       let r = recorder () in
       let body lo hi () =
@@ -183,7 +176,7 @@ let mutex_3dom =
    mutation self-test arms [list_rw.w_validate.skip]) makes this scenario
    produce an overlap counterexample. *)
 let rw_validate_race_build () =
-  let module S = Stack (struct let pool_target = 4 end) () in
+  let module S = Stack () in
   let lock = S.LRW.create () in
   (* Structural holder: linked before the fibers start, released by
      neither; shapes the list so both fibers traverse. Not recorded. *)
@@ -219,7 +212,7 @@ let rw_validate_race =
    are legal and every schedule terminates. *)
 let rw_writer_pref =
   scenario "rw-writer-pref" ~bound:3 ~full_only:true (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock =
         S.LRW.create ~prefer:Rlk.List_rw_core.Prefer_writers ()
       in
@@ -247,7 +240,7 @@ let rw_writer_pref =
    conflicting writer insertion. *)
 let rw_fastpath =
   scenario "rw-fastpath" ~bound:3 (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock = S.LRW.create ~fast_path:true () in
       let r = recorder () in
       let reader () =
@@ -273,12 +266,13 @@ let rw_fastpath =
    its next acquisition ([12,13), past C) helps unlink X, so P's cell
    again holds the physically same [C.live_link] and A's stale CAS
    succeeds where a fresh link per CAS made it fail. That is safe because
-   C stays in its incarnation while A is pinned; on every schedule the
-   holds must not overlap and, once both fibers are done, the list must
-   hold exactly P and C, in order. *)
+   the CAS compares against C itself, and C cannot be reused: nodes are
+   never recycled, so C still holds [10,11) and is still P's successor.
+   On every schedule the holds must not overlap and, once both fibers
+   are done, the list must hold exactly P and C, in order. *)
 let rw_relink =
   scenario "rw-relink" ~bound:3 ~max_steps:40_000 (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock = S.LRW.create () in
       let _p = S.LRW.read_acquire lock (range 0 1) in
       let _c = S.LRW.read_acquire lock (range 10 11) in
@@ -306,38 +300,12 @@ let rw_relink =
       in
       { Explore.fibers = [| a; b |]; check })
 
-(* Node recycling under a starved pool (target 1): a fiber that drains
-   its pool forces refill's epoch try_barrier to race the other fiber's
-   traversal — the grace-period protocol of Section 4.4. *)
-let ebr_recycle =
-  scenario "ebr-recycle" ~bound:2 ~full_only:true (fun () ->
-      let module S = Stack (struct let pool_target = 1 end) () in
-      let lock = S.LM.create () in
-      let r = recorder () in
-      let churner () =
-        let h1 = S.LM.acquire lock (range 0 1) in
-        let s1 = acquired r ~lock:"m" ~mode:Lockstat.Write ~lo:0 ~hi:1 in
-        let h2 = S.LM.acquire lock (range 2 3) in
-        let s2 = acquired r ~lock:"m" ~mode:Lockstat.Write ~lo:2 ~hi:3 in
-        released r ~lock:"m" ~mode:Lockstat.Write ~span:s1 ~lo:0 ~hi:1;
-        S.LM.release lock h1;
-        released r ~lock:"m" ~mode:Lockstat.Write ~span:s2 ~lo:2 ~hi:3;
-        S.LM.release lock h2
-      in
-      let contender () =
-        let h = S.LM.acquire lock (range 0 1) in
-        let span = acquired r ~lock:"m" ~mode:Lockstat.Write ~lo:0 ~hi:1 in
-        released r ~lock:"m" ~mode:Lockstat.Write ~span ~lo:0 ~hi:1;
-        S.LM.release lock h
-      in
-      { Explore.fibers = [| churner; contender |]; check = oracle_check r })
-
 (* Fairness escalation with patience 1: the writer's first validation
    failure sends it through Fairgate.escalate (impatient counter + aux
    rwlock write side) while the reader holds. *)
 let fairgate_escalate =
   scenario "fairgate-escalate" ~bound:2 (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock = S.LRW.create ~fairness:1 () in
       let _pre = S.LRW.read_acquire lock (range 1 2) in
       let r = recorder () in
@@ -393,7 +361,7 @@ let rwlock_basic =
    wait with no deadline parks by default. *)
 let park_unpark =
   scenario "park-unpark" ~bound:3 (fun () ->
-      let module S = Stack (struct let pool_target = 4 end) () in
+      let module S = Stack () in
       let lock = S.LRW.create () in
       let r = recorder () in
       let body lo hi () =
@@ -413,21 +381,11 @@ let park_unpark =
    release unlinks one — the guard-serialized tower maintenance
    interleaves with the bottom insert/validate protocol on every
    schedule, not just on lucky coin flips. *)
-module Skip_stack
-    (Cfg : sig
-       val pool_target : int
-     end)
-    () =
-struct
-  module E = Rlk_ebr.Epoch_core.Make (Sched.Sim)
-  module P = Rlk_ebr.Pool_core.Make (Sched.Sim) (E)
-
+module Skip_stack () = struct
   module SK =
-    Rlk_index.Skip_rw_core.Make (Sched.Sim) (E) (P)
+    Rlk_index.Skip_rw_core.Make (Sched.Sim)
       (struct
         let max_level = 2
-
-        let pool_target = Cfg.pool_target
 
         let height () = 2
       end)
@@ -440,7 +398,7 @@ end
    [skip_rw.w_validate.skip] must produce an overlap counterexample here
    (the skip mutation self-test), and pristine code must explore clean. *)
 let skip_validate_race_build () =
-  let module S = Skip_stack (struct let pool_target = 4 end) () in
+  let module S = Skip_stack () in
   let lock = S.SK.create () in
   (* Structural holder, as in rw-validate-race: forces real traversals
      and a populated tower. Not recorded. *)
@@ -474,7 +432,7 @@ let skip_validate_race =
    [parker.wake.skip] mutation) shows up as a deadlock. *)
 let skip_park =
   scenario "skip-park" ~bound:2 ~max_steps:40_000 (fun () ->
-      let module S = Skip_stack (struct let pool_target = 4 end) () in
+      let module S = Skip_stack () in
       let lock = S.SK.create () in
       let r = recorder () in
       let body lo hi () =
@@ -487,33 +445,6 @@ let skip_park =
       in
       { Explore.fibers = [| body 0 2; body 1 3 |]; check = oracle_check r })
 
-(* Tower-node recycling under a starved pool (target 1): each refill's
-   try_barrier races the other fiber's tower descent — the EBR grace
-   period now also protects multi-level unlinks. *)
-let skip_recycle =
-  scenario "skip-recycle" ~bound:2 ~max_steps:60_000 ~full_only:true
-    (fun () ->
-      let module S = Skip_stack (struct let pool_target = 1 end) () in
-      let lock = S.SK.create () in
-      let r = recorder () in
-      let churner () =
-        let h1 = S.SK.write_acquire lock (range 0 1) in
-        let s1 = acquired r ~lock:"sk" ~mode:Lockstat.Write ~lo:0 ~hi:1 in
-        let h2 = S.SK.write_acquire lock (range 2 3) in
-        let s2 = acquired r ~lock:"sk" ~mode:Lockstat.Write ~lo:2 ~hi:3 in
-        released r ~lock:"sk" ~mode:Lockstat.Write ~span:s1 ~lo:0 ~hi:1;
-        S.SK.release lock h1;
-        released r ~lock:"sk" ~mode:Lockstat.Write ~span:s2 ~lo:2 ~hi:3;
-        S.SK.release lock h2
-      in
-      let contender () =
-        let h = S.SK.write_acquire lock (range 0 1) in
-        let span = acquired r ~lock:"sk" ~mode:Lockstat.Write ~lo:0 ~hi:1 in
-        released r ~lock:"sk" ~mode:Lockstat.Write ~span ~lo:0 ~hi:1;
-        S.SK.release lock h
-      in
-      { Explore.fibers = [| churner; contender |]; check = oracle_check r })
-
 (* ---- adaptive frontend ----------------------------------------------- *)
 
 (* The adaptive core over the recording runtime, composing the same
@@ -521,13 +452,8 @@ let skip_recycle =
    the global list are full model-checked list locks, and the frontend's
    res/mode/gcheck handshake interleaves with their insert/validate
    protocol on every schedule. *)
-module Adaptive_stack
-    (Cfg : sig
-       val pool_target : int
-     end)
-    () =
-struct
-  module S = Stack (Cfg) ()
+module Adaptive_stack () = struct
+  module S = Stack ()
 
   module B = struct
     include S.LRW
@@ -548,7 +474,7 @@ end
    must yield an overlap counterexample on the schedules where the wide
    writer is granted first (the adaptive mutation self-test). *)
 let adaptive_switch_race_build () =
-  let module S = Adaptive_stack (struct let pool_target = 4 end) () in
+  let module S = Adaptive_stack () in
   let lock =
     S.AD.create ~shards:2 ~space:4 ~narrow_max:1 ~sample_every:1 ~window:2
       ~hi_pct:50 ~lo_pct:0 ()
@@ -586,7 +512,7 @@ let adaptive_switch_race =
    explorer reports. *)
 let adaptive_disjoint_park =
   scenario "adaptive-disjoint-park" ~bound:4 ~max_steps:120_000 (fun () ->
-      let module S = Adaptive_stack (struct let pool_target = 4 end) () in
+      let module S = Adaptive_stack () in
       let lock =
         S.AD.create ~shards:1 ~space:4 ~sample_every:0 ~rbias:false ()
       in
@@ -613,7 +539,7 @@ let adaptive_disjoint_park =
    must yield an overlap counterexample (the bias mutation self-test). *)
 let adaptive_reader_bias =
   scenario "adaptive-reader-bias" ~bound:3 ~max_steps:120_000 (fun () ->
-      let module S = Adaptive_stack (struct let pool_target = 4 end) () in
+      let module S = Adaptive_stack () in
       let lock =
         S.AD.create ~shards:2 ~space:4 ~narrow_max:1 ~sample_every:0 ()
       in
@@ -648,7 +574,7 @@ let adaptive_reader_bias =
    parking every later overlapping writer.) *)
 let adaptive_rbias_alias =
   scenario "adaptive-rbias-alias" ~bound:3 ~max_steps:200_000 (fun () ->
-      let module S = Adaptive_stack (struct let pool_target = 4 end) () in
+      let module S = Adaptive_stack () in
       let lock =
         S.AD.create ~shards:1 ~space:4 ~sample_every:0 ~rslot_count:1 ()
       in
@@ -674,10 +600,9 @@ let adaptive_rbias_alias =
 
 let all =
   [ mutex_overlap; mutex_fastpath; mutex_try; mutex_3dom; rw_validate_race;
-    rw_writer_pref; rw_fastpath; rw_relink; ebr_recycle; fairgate_escalate;
-    rwlock_basic; park_unpark; skip_validate_race; skip_park; skip_recycle;
-    adaptive_switch_race; adaptive_disjoint_park; adaptive_reader_bias;
-    adaptive_rbias_alias ]
+    rw_writer_pref; rw_fastpath; rw_relink; fairgate_escalate; rwlock_basic;
+    park_unpark; skip_validate_race; skip_park; adaptive_switch_race;
+    adaptive_disjoint_park; adaptive_reader_bias; adaptive_rbias_alias ]
 
 let run t =
   Explore.explore ~bound:t.bound ~max_steps:t.max_steps t.scen

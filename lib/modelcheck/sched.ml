@@ -183,19 +183,6 @@ module Sim : Rlk_primitives.Traced_atomic.SIM = struct
   (* The notifying flag write already bumped the version, which is what
      re-enables the suspended fiber; there is no OS parker to poke. *)
   let unpark _slot = ()
-
-  type 'a dls = { tbl : (int, 'a) Hashtbl.t; init : unit -> 'a }
-
-  let dls_new init = { tbl = Hashtbl.create 8; init }
-
-  let dls_get d =
-    let k = domain_id () in
-    match Hashtbl.find_opt d.tbl k with
-    | Some v -> v
-    | None ->
-      let v = d.init () in
-      Hashtbl.replace d.tbl k v;
-      v
 end
 
 (* A per-fiber scheduling point with no memory effect, for scenario
@@ -235,7 +222,7 @@ let spawn bodies =
   in
   (* Run each fiber's prefix (up to its first announce) eagerly, in fiber
      order — the prefix touches no shared state the scheduler needs to
-     interleave (node allocation from an empty per-fiber pool, etc.). *)
+     interleave (node allocation, etc.). *)
   Array.iteri
     (fun i body ->
       current := Some i;

@@ -1,12 +1,12 @@
 (** The atomic-operation seam between production code and the model
     checker (lib/modelcheck).
 
-    The interleaving-critical cores (list locks, fairness gate, epoch
-    reclamation, node pools) are functorized over {!SIM}: a minimal
-    "simulatable runtime" capturing exactly the operations whose ordering
-    matters for correctness — atomic loads/stores/CAS/fetch-and-add
-    ({!TRACED_ATOMIC}), domain identity, domain-local storage, and
-    blocking waits. Two implementations exist:
+    The interleaving-critical cores (list locks, fairness gate, list
+    nodes) are functorized over {!SIM}: a minimal "simulatable runtime"
+    capturing exactly the operations whose ordering matters for
+    correctness — atomic loads/stores/CAS/fetch-and-add
+    ({!TRACED_ATOMIC}), domain identity, and blocking waits. Two
+    implementations exist:
 
     - {!Real} — the pass-through production runtime: ['a A.t] {e is}
       ['a Atomic.t], domain identity is {!Domain_id}, waits are bounded
@@ -81,21 +81,11 @@ module type SIM = sig
       condition true. Production: broadcast on that slot's {!Parker}.
       Model: no-op — the atomic write that made [ready] true already
       re-enables the suspended fiber. *)
-
-  type 'a dls
-  (** Domain-local storage (virtualized per simulated domain under the
-      checker). *)
-
-  val dls_new : (unit -> 'a) -> 'a dls
-
-  val dls_get : 'a dls -> 'a
 end
 
 (** Pass-through production runtime: zero overhead beyond the functor
     call itself, no allocation on any path. *)
-module Real :
-  SIM with type 'a A.t = 'a Atomic.t and type 'a dls = 'a Domain.DLS.key =
-struct
+module Real : SIM with type 'a A.t = 'a Atomic.t = struct
   module A = struct
     type 'a t = 'a Atomic.t
 
@@ -147,10 +137,4 @@ struct
     end
 
   let unpark = Parker.wake
-
-  type 'a dls = 'a Domain.DLS.key
-
-  let dls_new f = Domain.DLS.new_key f
-
-  let dls_get = Domain.DLS.get
 end

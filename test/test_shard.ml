@@ -198,10 +198,20 @@ let test_path_accounting () =
   Alcotest.(check int) "shard 0 loads both narrow grants" 2
     snap.Shard_rw.shard_loads.(0)
 
+(* A single-shard pair allocates its list node and nothing else: the
+   handle comes from the per-domain handle pool. *)
 let test_single_shard_allocation_free () =
+  let w_node =
+    let r = range 3 10 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (Rlk.Node.alloc ~reader:true r))
+    done;
+    (Gc.minor_words () -. w0) /. 10_000.
+  in
   let t = mk () in
   let r = range 3 10 in
-  (* Warm the per-domain node and handle pools. *)
+  (* Warm the per-domain handle pool. *)
   for _ = 1 to 1_000 do
     Shard_rw.release t (Shard_rw.read_acquire t r)
   done;
@@ -211,9 +221,10 @@ let test_single_shard_allocation_free () =
   done;
   let per_op = (Gc.minor_words () -. w0) /. 10_000. in
   Alcotest.(check bool)
-    (Printf.sprintf "single-shard pair allocates ~0 words/op (got %.2f)"
-       per_op)
-    true (per_op < 1.0)
+    (Printf.sprintf
+       "single-shard pair allocates only its node, %.2f words/op (got %.2f)"
+       w_node per_op)
+    true (per_op <= w_node +. 0.5)
 
 let test_multi_domain_exclusion () =
   (* The ArrBench occupancy checker crashes (sets [violated]) on any
