@@ -261,32 +261,31 @@ struct
   let r_validate t node ~blocking ~deadline_ns =
     if Atomic.get Fault.enabled && Fault.skip fp_r_validate_skip then ()
     else
-      let rec go prev cur =
-        match cur with
-        | None -> ()
-        | Some c ->
-          if c.N.lo >= node.N.hi then ()
-          else
-            let cl = Sim.A.get c.N.next in
-            if cl.N.marked then begin
-              try_unlink prev c cl;
-              go prev cl.N.succ
-            end
-            else if c.N.reader then go c.N.next cl.N.succ
-            else if blocking && t.prefer = Prefer_readers then begin
-              (* Overlapping writer: it entered before us, defer to it. *)
-              wait_until_marked t ~node c ~blocking ~deadline_ns;
-              go prev (Some c)
-            end
-            else begin
-              (* Writer-preferred or non-blocking: leave the list and
-                 retry. *)
-              if t.prefer = Prefer_writers then
-                Metrics.validation_failure t.metrics;
-              mark_deleted node;
-              wake_released t node;
-              raise Validation_failed
-            end
+      (* [N.nil_node] starts at [max_int], so the [lo] bound ends the
+         scan at the end of the list too. *)
+      let rec go prev c =
+        if c.N.lo >= node.N.hi then ()
+        else
+          let cl = Sim.A.get c.N.next in
+          if cl.N.marked then begin
+            try_unlink prev c cl;
+            go prev cl.N.succ
+          end
+          else if c.N.reader then go c.N.next cl.N.succ
+          else if blocking && t.prefer = Prefer_readers then begin
+            (* Overlapping writer: it entered before us, defer to it. *)
+            wait_until_marked t ~node c ~blocking ~deadline_ns;
+            go prev c
+          end
+          else begin
+            (* Writer-preferred or non-blocking: leave the list and
+               retry. *)
+            if t.prefer = Prefer_writers then
+              Metrics.validation_failure t.metrics;
+            mark_deleted node;
+            wake_released t node;
+            raise Validation_failed
+          end
       in
       let l = Sim.A.get node.N.next in
       go node.N.next l.N.succ
@@ -299,33 +298,31 @@ struct
   let w_validate t node ~blocking ~deadline_ns =
     if Atomic.get Fault.enabled && Fault.skip fp_w_validate_skip then ()
     else
-      let rec go prev cur =
-        match cur with
-        | None ->
+      let rec go prev c =
+        if c == node then ()
+        else if c == N.nil_node then
           (* Our node is marked only by us; it must be reachable. *)
           assert false
-        | Some c ->
-          if c == node then ()
-          else
-            let cl = Sim.A.get c.N.next in
-            if cl.N.marked then begin
-              try_unlink prev c cl;
-              go prev cl.N.succ
-            end
-            else if c.N.hi <= node.N.lo then go c.N.next cl.N.succ
-            else if blocking && t.prefer = Prefer_writers then begin
-              (* Overlapping reader: under writer preference the reader
-                 will self-abort (or finish); wait until its node is
-                 marked. *)
-              wait_until_marked t ~node c ~blocking ~deadline_ns;
-              go prev (Some c)
-            end
-            else begin
-              Metrics.validation_failure t.metrics;
-              mark_deleted node;
-              wake_released t node;
-              raise Validation_failed
-            end
+        else
+          let cl = Sim.A.get c.N.next in
+          if cl.N.marked then begin
+            try_unlink prev c cl;
+            go prev cl.N.succ
+          end
+          else if c.N.hi <= node.N.lo then go c.N.next cl.N.succ
+          else if blocking && t.prefer = Prefer_writers then begin
+            (* Overlapping reader: under writer preference the reader
+               will self-abort (or finish); wait until its node is
+               marked. *)
+            wait_until_marked t ~node c ~blocking ~deadline_ns;
+            go prev c
+          end
+          else begin
+            Metrics.validation_failure t.metrics;
+            mark_deleted node;
+            wake_released t node;
+            raise Validation_failed
+          end
       in
       let start = L.start t.index node in
       go start (Sim.A.get start).N.succ
@@ -355,9 +352,9 @@ struct
           traverse (L.start t.index node)
         end
       else
-        match l.N.succ with
-        | None -> insert_here prev l
-        | Some cur ->
+        let cur = l.N.succ in
+        if cur == N.nil_node then insert_here prev l
+        else
           let curl = Sim.A.get cur.N.next in
           if curl.N.marked then begin
             ignore (Sim.A.compare_and_set prev l (N.unmarked curl));
@@ -418,7 +415,7 @@ struct
     &&
     let l = Sim.A.get t.head in
     (not l.N.marked)
-    && l.N.succ = None
+    && l.N.succ == N.nil_node
     && Sim.A.compare_and_set t.head l node.N.self_link
 
   (* Blocking acquisition: loops on validation failures (fresh node each
@@ -618,7 +615,7 @@ struct
      the deadline) with a conflict still live. *)
   let rec drain_conflicts t ~reader ~blocking ~deadline_ns r =
     let l0 = Sim.A.get t.head in
-    if (not l0.N.marked) && l0.N.succ = None then
+    if (not l0.N.marked) && l0.N.succ == N.nil_node then
       (* Empty list: no holder to wait for, and the seq-cst head load
          orders after the caller's counter raise, so any narrow acquirer
          that links a node later must observe the raised counter and
@@ -644,56 +641,54 @@ struct
       Waitboard.wait_end t.board;
       ok
     in
-    let rec walk cur =
-      match cur with
-      | None -> true
-      | Some c ->
-        if c.N.lo >= hi then true (* list sorted by lo: nothing past *)
-        else
-          let cl = Sim.A.get c.N.next in
-          if cl.N.marked then walk cl.N.succ
-          else if not (conflicts c) then walk cl.N.succ
-          else if not blocking then false
-          else if wait_marked c then walk (Sim.A.get c.N.next).N.succ
-          else false
+    (* List sorted by lo: nothing past [hi] conflicts, and
+       [N.nil_node] starts at [max_int]. *)
+    let rec walk c =
+      if c.N.lo >= hi then true
+      else
+        let cl = Sim.A.get c.N.next in
+        if cl.N.marked then walk cl.N.succ
+        else if not (conflicts c) then walk cl.N.succ
+        else if not blocking then false
+        else if wait_marked c then walk (Sim.A.get c.N.next).N.succ
+        else false
     in
     let rec from_head () =
       let l = Sim.A.get t.head in
-      match l.N.succ with
-      | None -> true
-      | Some n ->
-        if l.N.marked then begin
-          (* Fast-path holder: an exclusive single-node claim of the
-             whole list. Its release (or demotion by an inserter)
-             replaces the head link, so wait for the head to change. *)
-          if not (conflicts n) then true
-          else if not blocking then false
-          else begin
-            Metrics.overlap_wait t.metrics;
-            Waitboard.wait_begin t.board ~lo ~hi ~write:(not reader);
-            (* Park on the holder's range: the head changes either at
-               its release (whose wake carries exactly that range) or
-               at a demotion by an inserter — and an inserter only
-               strips the head mark on its way to waiting out the same
-               conflict, so the deferred wake at the real release
-               still unblocks us. *)
-            let ok =
-              wait_pred t ~wlo:n.N.lo ~whi:n.N.hi ~deadline_ns
-                (fun () -> Sim.A.get t.head != l)
-            in
-            Waitboard.wait_end t.board;
-            if not ok then false else from_head ()
-          end
+      let n = l.N.succ in
+      if n == N.nil_node then true
+      else if l.N.marked then begin
+        (* Fast-path holder: an exclusive single-node claim of the
+           whole list. Its release (or demotion by an inserter)
+           replaces the head link, so wait for the head to change. *)
+        if not (conflicts n) then true
+        else if not blocking then false
+        else begin
+          Metrics.overlap_wait t.metrics;
+          Waitboard.wait_begin t.board ~lo ~hi ~write:(not reader);
+          (* Park on the holder's range: the head changes either at
+             its release (whose wake carries exactly that range) or
+             at a demotion by an inserter — and an inserter only
+             strips the head mark on its way to waiting out the same
+             conflict, so the deferred wake at the real release
+             still unblocks us. *)
+          let ok =
+            wait_pred t ~wlo:n.N.lo ~whi:n.N.hi ~deadline_ns
+              (fun () -> Sim.A.get t.head != l)
+          in
+          Waitboard.wait_end t.board;
+          if not ok then false else from_head ()
         end
-        else walk (Some n)
+      end
+      else walk n
     in
     from_head ()
 
   let holders t =
     let rec walk l acc =
-      match l.N.succ with
-      | None -> List.rev acc
-      | Some n ->
+      let n = l.N.succ in
+      if n == N.nil_node then List.rev acc
+      else
         let nl = Sim.A.get n.N.next in
         let acc =
           if nl.N.marked then acc

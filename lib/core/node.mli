@@ -12,6 +12,10 @@
     a node is never reused: its range is immutable, and the GC frees it
     only once no walker can reach it.
 
+    A link's successor is a node, never an option: the end of the list is
+    the one shared {!nil_node}, so a hop is cell, link, node — the
+    paper's one pointer word plus the record that carries its mark bit.
+
     Every acquisition allocates a fresh node and a release drops it
     (DESIGN.md, "no node recycling"): the paper's epoch-based reclamation
     and per-thread node pools (Section 4.4) exist to make manual freeing
@@ -34,42 +38,53 @@ type t = {
           when the hold is not being recorded *)
   next : link aref;
   mutable live_link : link;
-      (** [{marked = false; succ = Some self}], set once by {!alloc}: the
+      (** [{marked = false; succ = self}], set once by {!alloc}: the
           one "unmarked pointer to this node" value, which inserts CAS into
           the predecessor and helpers CAS in when unlinking a node before
           this one *)
   mutable self_link : link;
-      (** [{marked = true; succ = Some self}], sharing [live_link]'s
-          [Some] box: the one "marked pointer to this node" value — what
-          the empty-list fast path CASes into the head, and what marking
-          a predecessor whose successor is this node installs *)
-  tower : t option aref array;
-      (** index tower cells (the skip-index core's hint levels); the shared
-          empty array for list nodes *)
+      (** [{marked = true; succ = self}]: the one "marked pointer to this
+          node" value — what the empty-list fast path CASes into the
+          head, and what marking a predecessor whose successor is this
+          node installs *)
+  tower : t aref array;
+      (** index tower cells (the skip-index core's hint levels), each
+          holding {!nil_node} while unlinked; the shared empty array for
+          list nodes *)
 }
 
-and link = { marked : bool; succ : t option; mutable twin : link }
-(** [twin] is the canonical link to the same successor with the other
+and link = { marked : bool; succ : t; mutable twin : link }
+(** [succ] is the successor node, {!nil_node} at the end of the list.
+    [twin] is the canonical link to the same successor with the other
     mark, set once by {!alloc} before the link is published. *)
 
+val nil_node : t
+(** The end-of-list sentinel, shared by every list: [lo = hi = max_int]
+    (so a walk bounded by [lo] stops on it), never marked, no tower. Its
+    [live_link] is {!nil} and its [self_link] is {!nil}'s marked twin.
+    Walks stop at it without loading its [next] cell, which holds a
+    placeholder that is never read or written. *)
+
 val nil : link
-(** Canonical unmarked end-of-list link (shared; CAS always uses the value
-    it last read, so sharing is safe). *)
+(** Canonical unmarked end-of-list link, [{marked = false; succ =
+    nil_node}] (shared; CAS always uses the value it last read, so
+    sharing is safe). *)
 
 val unmarked : link -> link
 (** The canonical unmarked link to the same successor as a link that was
-    read: [n.live_link] for [Some n], {!nil} for [None]. Reads only the
-    link; allocates nothing. *)
+    read: [n.live_link] for successor [n] ({!nil} for {!nil_node}). Reads
+    only the link; allocates nothing. *)
 
 val marked : link -> link
 (** The canonical marked twin of a link that was read: [n.self_link] for
-    [Some n], one shared marked end-of-list link for [None]. Reads only
-    the link; allocates nothing. *)
+    successor [n] (the shared marked end-of-list link for {!nil_node}).
+    Reads only the link; allocates nothing. *)
 
 val range_of : t -> Range.t
 
 val alloc : reader:bool -> Range.t -> t
-(** A fresh node for one acquisition, with its two canonical links. *)
+(** A fresh node for one acquisition, with its two canonical links: 19
+    words in all. *)
 
 val pool_stats : unit -> Rlk_ebr.Pool.stats
 (** All zeros: there is no node pool. Kept only because the repository

@@ -18,10 +18,12 @@ module type S = sig
     next : link aref;
     mutable live_link : link;
     mutable self_link : link;
-    tower : t option aref array;
+    tower : t aref array;
   }
 
-  and link = { marked : bool; succ : t option; mutable twin : link }
+  and link = { marked : bool; succ : t; mutable twin : link }
+
+  val nil_node : t
 
   val nil : link
 
@@ -53,10 +55,10 @@ struct
     next : link aref;
     mutable live_link : link;
     mutable self_link : link;
-    tower : t option aref array;  (* cell [l-1] holds index level [l] *)
+    tower : t aref array;  (* cell [l-1] holds index level [l] *)
   }
 
-  and link = { marked : bool; succ : t option; mutable twin : link }
+  and link = { marked : bool; succ : t; mutable twin : link }
 
   (* Links are canonical per (successor, mark): the paper's pointer word
      with its mark bit, so "unmarked pointer to [n]" is always the one
@@ -68,10 +70,29 @@ struct
 
      Each link points at its [twin] (same successor, other mark), so
      flipping the mark of a link that was read touches only that link,
-     never the successor node — which another domain may be writing. *)
-  let rec nil = { marked = false; succ = None; twin = nil_marked }
+     never the successor node — which another domain may be writing.
 
-  and nil_marked = { marked = true; succ = None; twin = nil }
+     The end of the list is one shared node, [nil_node], rather than an
+     option: a link's [succ] is the successor itself, so a hop is
+     cell -> link -> node. [nil_node] has [lo = hi = max_int], so a walk
+     bounded by [lo] stops on it like on any node past its window; the
+     other walks test [c == nil_node] before they load [c.next]. Its
+     [live_link]/[self_link] are [nil]/[nil_marked], like any node's.
+
+     [let rec] cannot close a cycle through [Sim.A.make], and every link
+     names a node, so [nil_node]'s own [next] cell cannot start out
+     holding a real link. It holds an immediate placeholder instead. No
+     walk ever reads or writes that one cell (each stops at [nil_node]
+     first), and nothing else holds a placeholder. *)
+  let nil_cell : link aref = Sim.A.make (Obj.magic 0)
+
+  let rec nil = { marked = false; succ = nil_node; twin = nil_marked }
+
+  and nil_marked = { marked = true; succ = nil_node; twin = nil }
+
+  and nil_node =
+    { lo = max_int; hi = max_int; reader = false; span = -1; next = nil_cell;
+      live_link = nil; self_link = nil_marked; tower = [||] }
 
   let unmarked l = if l.marked then l.twin else l
 
@@ -79,14 +100,15 @@ struct
 
   let range_of n = Range.v ~lo:n.lo ~hi:n.hi
 
-  (* A fresh node per acquisition; a released node is simply dropped. Its
-     two links share one [Some n] box, so a walk goes cell -> link -> box
-     -> node, all allocated together. The cycles (node -> link -> node,
-     link -> twin -> link) are closed by three stores before the node is
-     published, not by [let rec], which costs two dummy blocks and two C
-     calls per node. [empty_cell] is top-level so [Array.init] gets a
-     closure that is not allocated per node. *)
-  let empty_cell _ = Sim.A.make None
+  (* A fresh node per acquisition; a released node is simply dropped. A
+     list node is 19 words, allocated together: the record (9), its
+     [next] cell (2) and its two links (4 each). The cycles (node -> link
+     -> node, link -> twin -> link) are closed by three stores before the
+     node is published, not by [let rec], which costs two dummy blocks
+     and two C calls per node. An unlinked tower cell holds [nil_node].
+     [empty_cell] is top-level so [Array.init] gets a closure that is not
+     allocated per node. *)
+  let empty_cell _ = Sim.A.make nil_node
 
   let alloc ~reader r =
     let n =
@@ -94,9 +116,8 @@ struct
         next = Sim.A.make nil; live_link = nil; self_link = nil;
         tower = Array.init Cfg.tower_cells empty_cell }
     in
-    let succ = Some n in
-    let live = { marked = false; succ; twin = nil } in
-    let self = { marked = true; succ; twin = live } in
+    let live = { marked = false; succ = n; twin = nil } in
+    let self = { marked = true; succ = n; twin = live } in
     live.twin <- self;
     n.live_link <- live;
     n.self_link <- self;

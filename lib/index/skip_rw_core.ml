@@ -79,10 +79,11 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
         let tower_cells = tower_cells
       end)
 
-  (* Ends every tower level, so a linked tower cell always holds [Some]: a
-     node's linked cells are exactly its leading [Some] cells, and the
-     node record needs no height field. [lo = max_int] stops every walk
-     before it. *)
+  (* Ends every tower level, so a linked tower cell never holds
+     [N.nil_node] (an unlinked cell's value): a node's linked cells are
+     exactly its leading non-nil cells, and the node record needs no
+     height field. [lo = max_int] stops every walk before it, as it does
+     at [N.nil_node]. *)
   let tail =
     { N.lo = max_int; hi = max_int; reader = false; span = -1;
       next = Sim.A.make N.nil; live_link = N.nil; self_link = N.nil;
@@ -105,7 +106,7 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
           { N.lo = min_int; hi = min_int; reader = false; span = -1;
             next = Sim.A.make_contended N.nil; live_link = N.nil;
             self_link = N.nil;
-            tower = Array.init tower_cells (fun _ -> Sim.A.make (Some tail)) };
+            tower = Array.init tower_cells (fun _ -> Sim.A.make tail) };
         maxw = Sim.A.make_contended 1;
         guard = Guard.create ();
         preds = Array.make (max tower_cells 1) tail }
@@ -143,13 +144,14 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
        terminates.
 
        The walks are top-level recursions with explicit arguments, so a
-       descent allocates nothing. *)
+       descent allocates nothing. [tail] and [N.nil_node] both start at
+       [max_int], so the [lo < key] test alone ends every walk, at the
+       end of a level and at a cell its node's release cleared. *)
 
     (* Last node from [p] along tower cell [cell] with [lo < key]. *)
     let rec advance cell key (p : N.t) =
-      match Sim.A.get p.N.tower.(cell) with
-      | Some c when c.N.lo < key -> advance cell key c
-      | _ -> p
+      let c = Sim.A.get p.N.tower.(cell) in
+      if c.N.lo < key then advance cell key c else p
 
     let rec descend key p cell =
       if cell < 0 then p else descend key (advance cell key p) (cell - 1)
@@ -159,9 +161,8 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
     let rec bottom key (last : N.t) (p : N.t) =
       let pl = Sim.A.get p.N.next in
       let last = if pl.N.marked then last else p in
-      match pl.N.succ with
-      | Some c when c.N.lo < key -> bottom key last c
-      | _ -> last
+      let c = pl.N.succ in
+      if c.N.lo < key then bottom key last c else last
 
     let rec find_pred t key =
       let start = descend key t.sentinel (tower_cells - 1) in
@@ -211,14 +212,14 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
         for cell = 0 to h - 2 do
           let pred = preds.(cell) in
           Sim.A.set node.N.tower.(cell) (Sim.A.get pred.N.tower.(cell));
-          Sim.A.set pred.N.tower.(cell) node.N.live_link.N.succ
+          Sim.A.set pred.N.tower.(cell) node
         done;
         Guard.write_release t.guard
       end
 
     (* Number of tower cells [node] is linked at, counting from [cell]. *)
     let rec linked_cells (node : N.t) cell =
-      if cell < tower_cells && Option.is_some (Sim.A.get node.N.tower.(cell))
+      if cell < tower_cells && Sim.A.get node.N.tower.(cell) != N.nil_node
       then linked_cells node (cell + 1)
       else cell
 
@@ -226,17 +227,16 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
        [node] and starts at or before it: stops at [node]'s predecessor
        when [node] is linked at that cell. *)
     let rec pred_in_group cell (node : N.t) (p : N.t) =
-      match Sim.A.get p.N.tower.(cell) with
-      | Some c when c != node && c.N.lo <= node.N.lo ->
-        pred_in_group cell node c
-      | _ -> p
+      let c = Sim.A.get p.N.tower.(cell) in
+      if c != node && c.N.lo <= node.N.lo then pred_in_group cell node c
+      else p
 
     (* Tower first, then (in the list core) mark: a marked node is never
        in a tower, so helper unlink at the bottom stays safe. Only
        the node's own [granted] links its cells, so the unguarded test of
        cell 0 is stable. *)
     let releasing t (node : N.t) =
-      if tower_cells > 0 && Option.is_some (Sim.A.get node.N.tower.(0)) then
+      if tower_cells > 0 && Sim.A.get node.N.tower.(0) != N.nil_node then
       begin
         if Atomic.get Fault.enabled then Fault.hit fp_tower;
         Guard.write_acquire t.guard;
@@ -245,11 +245,9 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
           (* The strict descent stops before the equal-lo group; finish
              with a short forward walk to the link that targets [node]. *)
           let pred = pred_in_group cell node preds.(cell) in
-          (match Sim.A.get pred.N.tower.(cell) with
-           | Some c when c == node ->
-             Sim.A.set pred.N.tower.(cell) (Sim.A.get node.N.tower.(cell))
-           | _ -> ());
-          Sim.A.set node.N.tower.(cell) None
+          if Sim.A.get pred.N.tower.(cell) == node then
+            Sim.A.set pred.N.tower.(cell) (Sim.A.get node.N.tower.(cell));
+          Sim.A.set node.N.tower.(cell) N.nil_node
         done;
         Guard.write_release t.guard
       end
@@ -280,24 +278,23 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
       let bottom_nodes = ref [] in
       let live = ref 0 in
       let rec walk (p : N.t) prev_lo =
-        match (Sim.A.get p.N.next).N.succ with
-        | None -> ()
-        | Some c ->
+        let c = (Sim.A.get p.N.next).N.succ in
+        if c != N.nil_node then begin
           if c.N.lo < prev_lo then
             raise
               (Bad (Printf.sprintf "bottom unsorted: %d after %d" c.N.lo prev_lo));
           bottom_nodes := c :: !bottom_nodes;
           if not (Sim.A.get c.N.next).N.marked then incr live;
           walk c c.N.lo
+        end
       in
       walk sentinel min_int;
       for cell = tower_cells - 1 downto 0 do
         let rec tower_walk (p : N.t) prev_lo =
-          match Sim.A.get p.N.tower.(cell) with
-          | None ->
+          let c = Sim.A.get p.N.tower.(cell) in
+          if c == N.nil_node then
             raise (Bad (Printf.sprintf "tower level %d misses its tail" (cell + 1)))
-          | Some c when c == tail -> ()
-          | Some c ->
+          else if c != tail then begin
             if (Sim.A.get c.N.next).N.marked then
               raise (Bad (Printf.sprintf "marked node in tower level %d" (cell + 1)));
             if c.N.lo < prev_lo then
@@ -309,6 +306,7 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
               raise (Bad (Printf.sprintf "tower level %d node not in bottom list"
                             (cell + 1)));
             tower_walk c c.N.lo
+          end
         in
         tower_walk sentinel min_int
       done;

@@ -1,6 +1,6 @@
 (* Tests for the skip-index range-lock core (lib/index).
 
-   Three layers:
+   Four layers:
    - structural unit tests over the production {!Rlk_index.Skip_rw}
      instance (tower audit, reader sharing, multi-domain stress);
    - the differential oracle property: random operation sequences
@@ -9,7 +9,9 @@
      oracle-equivalent grant histories (no overlap, no residue);
    - the tower recycle regression: a node released through a
      multi-level unlink must never be restamped while another domain
-     still dereferences its handle. *)
+     still dereferences its handle;
+   - the nil sentinel: released towers hold [N.nil_node] again, and no
+     walk touches the sentinel's own cell. *)
 
 open Rlk
 module Skip = Rlk_index.Skip_rw
@@ -275,6 +277,12 @@ let tower_recycle_race ~seed ~iters =
         for i = 1 to iters do
           let h = Tower_probe.write_acquire t (range (2 * i) ((2 * i) + 1)) in
           Atomic.set slot (Some h);
+          (* The whole loop can finish before the reader domain first
+             runs: hold the first handle until the reader has seen it. *)
+          if i = 1 then
+            while Atomic.get observed = 0 do
+              Domain.cpu_relax ()
+            done;
           dwell rng;
           Atomic.set slot None;
           Tower_probe.release t h
@@ -298,6 +306,65 @@ let test_tower_recycle_safe () =
       "released tower node restamped under a reader %d times (replay seed 7)"
       violations
 
+(* ---------------- nil sentinel ----------------
+
+   An unlinked tower cell holds the instance's [N.nil_node], and the end
+   of the bottom list is that same node, whose own [next] cell holds a
+   placeholder no walk may read or write. Two domains churn short random
+   ranges through an instance with random heights up to the full tower;
+   afterwards every released node's cells hold [N.nil_node] again, the
+   placeholder is untouched and the structure is clean. *)
+
+module Sentinel_probe =
+  Rlk_index.Skip_rw_core.Make (Rlk_primitives.Traced_atomic.Real)
+    (struct
+      let max_level = 5
+
+      let rng_key =
+        Domain.DLS.new_key (fun () ->
+            Prng.create
+              ~seed:
+                (Stress_helpers.domain_seed ~salt:8191
+                   (Domain.self () :> int)))
+
+      let height () = 1 + Prng.below (Domain.DLS.get rng_key) max_level
+    end)
+    ()
+
+let test_sentinel_after_churn () =
+  let module P = Sentinel_probe in
+  let t = P.create () in
+  let placeholder = Atomic.get P.N.nil_node.P.N.next in
+  let released =
+    Array.map Domain.join
+      (Stress_helpers.spawn_n 2 (fun id ->
+           let rng =
+             Prng.create ~seed:(Stress_helpers.domain_seed ~salt:3571 id)
+           in
+           List.init 2_000 (fun _ ->
+               let lo = Prng.below rng 16 in
+               let r = range lo (lo + 1 + Prng.below rng 4) in
+               let h =
+                 if Prng.bool rng ~p:0.5 then P.read_acquire t r
+                 else P.write_acquire t r
+               in
+               P.release t h;
+               h)))
+  in
+  Alcotest.(check bool)
+    "nil_node's cell still holds its placeholder" true
+    (Atomic.get P.N.nil_node.P.N.next == placeholder);
+  let linked =
+    List.concat (Array.to_list released)
+    |> List.filter (fun (h : P.N.t) ->
+           Array.exists (fun c -> Atomic.get c != P.N.nil_node) h.P.N.tower)
+  in
+  Alcotest.(check int) "released towers hold the nil node" 0
+    (List.length linked);
+  match P.check_structure t with
+  | Ok live -> Alcotest.(check int) "no live ranges" 0 live
+  | Error msg -> Alcotest.failf "structure check failed: %s" msg
+
 let () =
   Alcotest.run "index"
     [ ("structure",
@@ -315,4 +382,7 @@ let () =
            differential_test ]);
       ("tower-recycle",
        [ Alcotest.test_case "released node keeps its range" `Quick
-           test_tower_recycle_safe ]) ]
+           test_tower_recycle_safe ]);
+      ("nil-sentinel",
+       [ Alcotest.test_case "released towers hold the nil node" `Quick
+           test_sentinel_after_churn ]) ]
