@@ -4,11 +4,14 @@ module Waitboard = Rlk_chaos.Waitboard
 
 (* Functorized body of {!List_rw} (the paper's reader-writer list-based
    range lock, Section 4.2, incl. the Section 4.5 fast path); see
-   list_rw.mli for semantics. [List_rw] is this functor applied to
-   {!Traced_atomic.Real}, the production {!Node} and {!Fairgate}; the
-   model checker applies it to its recording runtime, which is how the
-   insert/validate races the paper reasons about informally get explored
-   exhaustively.
+   list_rw.mli for semantics. The model checker applies it to its
+   recording runtime, which is how the insert/validate races the paper
+   reasons about informally get explored exhaustively. Production runs
+   [List_rw_core_real], this same text compiled with [Sim] bound to
+   {!Traced_atomic.Real} (lib/core/dune): the functors there ignore their
+   runtime argument, so a walk's [Sim.A.get] is a plain load rather than
+   an indirect call through the argument. [List_rw] applies it to the
+   production {!Node} and {!Fairgate}.
 
    The protocol (insert, validate, mark, help-unlink) is written once, in
    [Make_located], over a {e locator}: the component that decides where a
@@ -164,7 +167,7 @@ struct
      relative to [cur]. Overlapping readers order by start. *)
   type position = Cur_precedes | Node_precedes | Conflict
 
-  let compare_nodes ~cur ~node =
+  let[@inline] compare_nodes ~cur ~node =
     let both_readers = cur.N.reader && node.N.reader in
     if node.N.lo >= cur.N.hi then Cur_precedes
     else if both_readers && node.N.lo >= cur.N.lo then Cur_precedes

@@ -1,9 +1,13 @@
 open Rlk_primitives
 
 (* Production instance: the skip-index range lock over the real atomics.
-   Tower heights are the classic p = 1/2 coin flip from a per-domain PRNG
-   (same scheme as lib/skiplist), which keeps expected descent cost at
-   O(log n) with ~2 pointers per node. *)
+   [Skip_rw_core_real] is a build output: skip_rw_core.ml compiled with
+   [Sim] bound to [Traced_atomic.Real] and over the list core generated
+   the same way (lib/index/dune, lib/core/dune), so tower descents and
+   list walks load their cells directly. Tower heights are the classic
+   p = 1/2 coin flip from a per-domain PRNG (same scheme as
+   lib/skiplist), which keeps expected descent cost at O(log n) with ~2
+   pointers per node. *)
 
 let max_level = 14
 
@@ -18,7 +22,7 @@ let random_height () =
   in
   go 1
 
-include Skip_rw_core.Make (Traced_atomic.Real)
+include Skip_rw_core_real.Make (Traced_atomic.Real)
     (struct
       let max_level = max_level
 

@@ -47,11 +47,13 @@ module Range = Rlk.Range
    The instance fixes the list core's options: no empty-list fast path
    (a head-marked holder would bypass the towers), no fairness gate, and
    reader preference. Functorized over {!Traced_atomic.SIM} like the
-   other cores: the production instance runs on {!Traced_atomic.Real};
-   the model checker instantiates a fresh stack per explored run
-   (constant tower height, two levels) and explores the insert/validate/
-   tower interleavings exhaustively. The list core registers this lock's
-   chaos points under [skip_rw.*]; [skip_rw.tower] is the index's own. *)
+   other cores: production runs [Skip_rw_core_real], this text compiled
+   against {!Traced_atomic.Real} and the generated list core
+   (lib/index/dune); the model checker instantiates a fresh stack per
+   explored run (constant tower height, two levels) and explores the
+   insert/validate/tower interleavings exhaustively. The list core
+   registers this lock's chaos points under [skip_rw.*]; [skip_rw.tower]
+   is the index's own. *)
 
 let fp_tower = Fault.point "skip_rw.tower"
 

@@ -10,9 +10,12 @@
 
     - {!Real} — the pass-through production runtime: ['a A.t] {e is}
       ['a Atomic.t], domain identity is {!Domain_id}, waits are bounded
-      exponential backoff. The production modules ([Rlk.List_rw] & co.)
-      are the functors applied to [Real] once at link time, so current
-      behavior is unchanged and the pass-through allocates nothing.
+      exponential backoff. Most production modules are the functors
+      applied to [Real] once at link time; the pass-through allocates
+      nothing. The list and skip-list cores, whose walks make an atomic
+      load per hop, are instead compiled from their source with [Sim]
+      bound to [Real] (see lib/core/dune), so their loads are plain
+      loads.
     - [Rlk_model.Sched.Sim] — the recording runtime: every atomic
       operation announces itself to a deterministic scheduler (an effect
       yield), which explores interleavings exhaustively with DPOR-style
@@ -83,8 +86,18 @@ module type SIM = sig
       re-enables the suspended fiber. *)
 end
 
-(** Pass-through production runtime: zero overhead beyond the functor
-    call itself, no allocation on any path. *)
+(** Pass-through production runtime, no allocation on any path.
+
+    Called directly, [Real.A.get] compiles to one load and
+    [Real.A.compare_and_set] to a direct [caml_atomic_cas] call. Through
+    a functor parameter, and without flambda, every operation is an
+    indirect call instead: load the parameter's block, then [A], then
+    the closure, then its code pointer, and call. That costs little per
+    operation but adds up in a list walk, one or two per hop. The list
+    and skip-list cores escape it by being generated from their source
+    with [Sim] bound to this module (lib/core/dune, lib/index/dune); the
+    other cores run a few atomic operations per acquisition and stay
+    plain functor applications. *)
 module Real : SIM with type 'a A.t = 'a Atomic.t = struct
   module A = struct
     type 'a t = 'a Atomic.t

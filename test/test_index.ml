@@ -238,7 +238,7 @@ let differential_test =
    node reuse without a grace period shows up as a restamp. *)
 
 module Tower_probe =
-  Rlk_index.Skip_rw_core.Make (Rlk_primitives.Traced_atomic.Real)
+  Rlk_index.Skip_rw_core_real.Make (Rlk_primitives.Traced_atomic.Real)
     (struct
       let max_level = 4
 
@@ -316,7 +316,7 @@ let test_tower_recycle_safe () =
    placeholder is untouched and the structure is clean. *)
 
 module Sentinel_probe =
-  Rlk_index.Skip_rw_core.Make (Rlk_primitives.Traced_atomic.Real)
+  Rlk_index.Skip_rw_core_real.Make (Rlk_primitives.Traced_atomic.Real)
     (struct
       let max_level = 5
 
