@@ -36,13 +36,14 @@ module type S = sig
   val alloc : reader:bool -> Range.t -> t
 end
 
-(* [tower_cells] sizes each node's index tower (the skip-index core's hint
-   levels above the list); list nodes use [0] and share the one empty
-   array, so the tower costs them one field. *)
+(* [tower_cells ()] sizes each node's index tower (the skip-index core's
+   hint levels above the list) and is called once per allocated node, so
+   the skip-index core draws a node's height there. List nodes always get
+   [0] and share the one empty array, so the tower costs them one field. *)
 module Make_towered
     (Sim : Traced_atomic.SIM)
     (Cfg : sig
-       val tower_cells : int
+       val tower_cells : unit -> int
      end) =
 struct
   type 'a aref = 'a Sim.A.t
@@ -105,16 +106,18 @@ struct
      [next] cell (2) and its two links (4 each). The cycles (node -> link
      -> node, link -> twin -> link) are closed by three stores before the
      node is published, not by [let rec], which costs two dummy blocks
-     and two C calls per node. An unlinked tower cell holds [nil_node].
-     [empty_cell] is top-level so [Array.init] gets a closure that is not
-     allocated per node. *)
+     and two C calls per node. A tower of [k > 0] cells adds its array
+     (1 + k words) and the cells (2 each): 20 + 3k words in all. A tower
+     of [0] cells is the shared empty array and adds nothing. An unlinked
+     tower cell holds [nil_node]. [empty_cell] is top-level so
+     [Array.init] gets a closure that is not allocated per node. *)
   let empty_cell _ = Sim.A.make nil_node
 
   let alloc ~reader r =
     let n =
       { lo = Range.lo r; hi = Range.hi r; reader; span = -1;
         next = Sim.A.make nil; live_link = nil; self_link = nil;
-        tower = Array.init Cfg.tower_cells empty_cell }
+        tower = Array.init (Cfg.tower_cells ()) empty_cell }
     in
     let live = { marked = false; succ = n; twin = nil } in
     let self = { marked = true; succ = n; twin = live } in
@@ -127,5 +130,5 @@ end
 module Make (Sim : Traced_atomic.SIM) =
   Make_towered (Sim)
     (struct
-      let tower_cells = 0
+      let tower_cells () = 0
     end)

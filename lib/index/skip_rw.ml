@@ -4,10 +4,13 @@ open Rlk_primitives
    [Skip_rw_core_real] is a build output: skip_rw_core.ml compiled with
    [Sim] bound to [Traced_atomic.Real] and over the list core generated
    the same way (lib/index/dune, lib/core/dune), so tower descents and
-   list walks load their cells directly. Tower heights are the classic
-   p = 1/2 coin flip from a per-domain PRNG (same scheme as
-   lib/skiplist), which keeps expected descent cost at O(log n) with ~2
-   pointers per node. *)
+   list walks load their cells directly. Tower heights are geometric with
+   p = 1/4 from a per-domain PRNG, drawn when a node is allocated, and a
+   node's tower has one cell per level above the bottom. Pugh's skip-list
+   paper recommends p = 1/4: it keeps the expected descent cost at
+   O(log n), about that of p = 1/2, with ~1.33 pointers per node instead
+   of 2 (1/3 of a tower cell on average), and only a quarter of the
+   grants and releases take the tower guard. *)
 
 let max_level = 14
 
@@ -18,7 +21,7 @@ let rng_key =
 let random_height () =
   let rng = Domain.DLS.get rng_key in
   let rec go h =
-    if h < max_level && Prng.bool rng ~p:0.5 then go (h + 1) else h
+    if h < max_level && Prng.bool rng ~p:0.25 then go (h + 1) else h
   in
   go 1
 

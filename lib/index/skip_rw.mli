@@ -5,12 +5,12 @@
     overlapping readers share, reader validation waits out writers,
     writer validation retreats on any overlap — instantiated with a
     tower locator. The live ranges are additionally indexed by a
-    coin-flip multi-level tower, and every walk starts at the
-    tower-descended predecessor of the conflict window (bounded by the
-    widest range ever granted) instead of the head. Locating the
-    insertion point and conflict window is therefore O(log n) in the
-    number of concurrently held ranges instead of a head-to-position
-    list walk. The bottom level remains the authoritative structure;
+    multi-level tower (geometric heights, p = 1/4), and every walk
+    starts at the tower-descended predecessor of the conflict window
+    (bounded by the widest range ever granted) instead of the head.
+    Locating the insertion point and conflict window is therefore
+    O(log n) in the number of concurrently held ranges instead of a
+    head-to-position list walk. The bottom level remains the authoritative structure;
     towers are hints, mutated only under a per-lock guard and read
     lock-free. Conflict waits park on the shared waiter queue; released
     nodes are left to the GC.
@@ -62,4 +62,5 @@ val holders : t -> (Rlk.Range.t * [ `Reader | `Writer ]) list
 
 val check_structure : t -> (int, string) result
 (** Quiescent-only structural audit: bottom list sorted, towers point at
-    unmarked bottom-reachable nodes. Returns the live range count. *)
+    unmarked bottom-reachable nodes, every holder linked at exactly as
+    many levels as its tower has cells. Returns the live range count. *)

@@ -19,13 +19,17 @@ module Range = Rlk.Range
      unchanged, and a protocol fix lands in both locks at once.
 
    - Levels 1..max_level-1 are hint towers over a suffix of the bottom
-     nodes (coin-flip height, as in lib/skiplist), kept in the nodes'
-     [tower] cells. Towers only accelerate the descent to the conflict
-     window; a stale or missing tower entry can never grant a wrong lock,
-     only slow a walk. All tower *mutations* are serialized by a per-lock
-     writer mutex, making the hint layers single-writer: plain stores, no
-     per-level CAS loops, and — crucially — no resurrection hazard where a
-     racing unlinker re-installs a pointer to a node that has already
+     nodes, kept in the nodes' [tower] cells. A node's height [h] is
+     drawn when the node is allocated, and its tower has exactly [h - 1]
+     cells (cell [l-1] is level [l]); a height-1 node shares the empty
+     array. So every cell a node has is linked while it holds the lock,
+     and a walk that reaches a node at some level finds a cell there.
+     Towers only accelerate the descent to the conflict window; a stale
+     or missing tower entry can never grant a wrong lock, only slow a
+     walk. All tower *mutations* are serialized by a per-lock writer
+     mutex, making the hint layers single-writer: plain stores, no
+     per-level CAS loops, and — crucially — no resurrection hazard where
+     a racing unlinker re-installs a pointer to a node that has already
      been released. Tower *reads* (the descent) stay lock-free.
 
    - The conflict window is bounded by [maxw], a monotone maximum of all
@@ -50,7 +54,8 @@ module Range = Rlk.Range
    other cores: production runs [Skip_rw_core_real], this text compiled
    against {!Traced_atomic.Real} and the generated list core
    (lib/index/dune); the model checker instantiates a fresh stack per
-   explored run (constant tower height, two levels) and explores the
+   explored run (two levels at a constant height, or three levels with
+   one untowered and one two-cell node) and explores the
    insert/validate/tower interleavings exhaustively. The list core
    registers this lock's chaos points under [skip_rw.*]; [skip_rw.tower]
    is the index's own. *)
@@ -62,10 +67,11 @@ module type CFG = sig
   (** Total number of levels including the bottom list; [>= 1]. *)
 
   val height : unit -> int
-  (** Tower height drawn per granted node, clamped to
-      [1 .. max_level]. [1] means bottom-only (no tower entry). Must be
-      deterministic under the model checker (the model stack uses a
-      constant). *)
+  (** Tower height drawn per allocated node, clamped to
+      [1 .. max_level]: a node that is retried or whose try fails has
+      drawn one too. [1] means bottom-only (no tower cells). Must be
+      deterministic under the model checker (the model stacks use a
+      constant, or the fiber's [Sim.domain_id]). *)
 end
 
 (* Generative ([()]): applying the functor creates the instance's own
@@ -75,10 +81,15 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
 
   let tower_cells = Cfg.max_level - 1
 
+  (* A node's tower is sized to its height, drawn when it is allocated:
+     [h - 1] cells, none (the shared empty array) at height 1. *)
   module N =
     Rlk.Node_core.Make_towered (Sim)
       (struct
-        let tower_cells = tower_cells
+        let tower_cells () =
+          let h = Cfg.height () in
+          if h <= 1 then 0 else if h > Cfg.max_level then tower_cells
+          else h - 1
       end)
 
   (* Ends every tower level, so a linked tower cell never holds
@@ -203,15 +214,12 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
       t.preds
 
     let granted t (node : N.t) =
-      let h = Cfg.height () in
-      let h =
-        if h < 1 then 1 else if h > Cfg.max_level then Cfg.max_level else h
-      in
-      if h > 1 then begin
+      let cells = Array.length node.N.tower in
+      if cells > 0 then begin
         if Atomic.get Fault.enabled then Fault.hit fp_tower;
         Guard.write_acquire t.guard;
         let preds = tower_preds t node.N.lo in
-        for cell = 0 to h - 2 do
+        for cell = 0 to cells - 1 do
           let pred = preds.(cell) in
           Sim.A.set node.N.tower.(cell) (Sim.A.get pred.N.tower.(cell));
           Sim.A.set pred.N.tower.(cell) node
@@ -221,7 +229,8 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
 
     (* Number of tower cells [node] is linked at, counting from [cell]. *)
     let rec linked_cells (node : N.t) cell =
-      if cell < tower_cells && Sim.A.get node.N.tower.(cell) != N.nil_node
+      if cell < Array.length node.N.tower
+         && Sim.A.get node.N.tower.(cell) != N.nil_node
       then linked_cells node (cell + 1)
       else cell
 
@@ -238,8 +247,9 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
        the node's own [granted] links its cells, so the unguarded test of
        cell 0 is stable. *)
     let releasing t (node : N.t) =
-      if tower_cells > 0 && Sim.A.get node.N.tower.(0) != N.nil_node then
-      begin
+      if Array.length node.N.tower > 0
+         && Sim.A.get node.N.tower.(0) != N.nil_node
+      then begin
         if Atomic.get Fault.enabled then Fault.hit fp_tower;
         Guard.write_acquire t.guard;
         let preds = tower_preds t node.N.lo in
@@ -272,7 +282,10 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
      list must be sorted by [lo]; every tower level must end at [tail];
      every tower entry must point at an unmarked node that is
      bottom-reachable; a node linked at level [l] must be linked at every
-     level below it. Returns the live (unmarked) range count. *)
+     level below it. Every unmarked bottom node (a holder: its [granted]
+     has run) must be linked at exactly its tower's length of levels, and
+     no tower may have more than [max_level - 1] cells. Returns the live
+     (unmarked) range count. *)
   let check_structure t =
     let exception Bad of string in
     let sentinel = t.index.Tower.sentinel in
@@ -291,6 +304,7 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
         end
       in
       walk sentinel min_int;
+      let levels = Array.make tower_cells [] in
       for cell = tower_cells - 1 downto 0 do
         let rec tower_walk (p : N.t) prev_lo =
           let c = Sim.A.get p.N.tower.(cell) in
@@ -307,11 +321,29 @@ module Make (Sim : Traced_atomic.SIM) (Cfg : CFG) () = struct
             if not (List.memq c !bottom_nodes) then
               raise (Bad (Printf.sprintf "tower level %d node not in bottom list"
                             (cell + 1)));
+            levels.(cell) <- c :: levels.(cell);
             tower_walk c c.N.lo
           end
         in
         tower_walk sentinel min_int
       done;
+      List.iter
+        (fun (c : N.t) ->
+          let cells = Array.length c.N.tower in
+          if not (Sim.A.get c.N.next).N.marked then begin
+            if cells > tower_cells then
+              raise (Bad (Printf.sprintf "[%d,%d) has %d tower cells, max is %d"
+                            c.N.lo c.N.hi cells tower_cells));
+            if Tower.linked_cells c 0 <> cells then
+              raise (Bad (Printf.sprintf "[%d,%d) linked at %d of its %d cells"
+                            c.N.lo c.N.hi (Tower.linked_cells c 0) cells));
+            for cell = 0 to cells - 1 do
+              if not (List.memq c levels.(cell)) then
+                raise (Bad (Printf.sprintf "[%d,%d) missing from tower level %d"
+                              c.N.lo c.N.hi (cell + 1)))
+            done
+          end)
+        !bottom_nodes;
       Ok !live
     with Bad msg -> Error msg
 end

@@ -445,6 +445,53 @@ let skip_park =
       in
       { Explore.fibers = [| body 0 2; body 1 3 |]; check = oracle_check r })
 
+(* Towers of different sizes in one explored run: three levels, and the
+   height comes from the fiber id, not from shared state, so the draw
+   hides no dependency from DPOR. Fiber 0's writer is untowered (its
+   tower is the shared empty array, so its release skips the guard);
+   fiber 1's reader has two cells, and its grant splices them under the
+   guard while the writer descends, validates, retreats or releases, so
+   the writer's descents meet towers that are being linked and unlinked
+   at both levels. The ranges overlap, so the oracle also checks
+   exclusion across those races. Once both have released, the structural
+   audit must find the towers empty again. *)
+let skip_mixed_height =
+  scenario "skip-mixed-height" ~bound:2 ~max_steps:40_000 (fun () ->
+      let module SK =
+        Rlk_index.Skip_rw_core.Make (Sched.Sim)
+          (struct
+            let max_level = 3
+
+            let height () = if Sched.Sim.domain_id () = 1 then 3 else 1
+          end)
+          ()
+      in
+      let lock = SK.create () in
+      let r = recorder () in
+      let body ~reader lo hi () =
+        let mode = if reader then Lockstat.Read else Lockstat.Write in
+        let h =
+          if reader then SK.read_acquire lock (range lo hi)
+          else SK.write_acquire lock (range lo hi)
+        in
+        let span = acquired r ~lock:"sk" ~mode ~lo ~hi in
+        Sched.note (Printf.sprintf "holds [%d,%d)" lo hi);
+        Sched.pause ();
+        released r ~lock:"sk" ~mode ~span ~lo ~hi;
+        SK.release lock h
+      in
+      let check () =
+        match oracle_check r () with
+        | Some _ as bad -> bad
+        | None -> (
+          match SK.check_structure lock with
+          | Ok 0 -> None
+          | Ok live -> Some (Printf.sprintf "%d ranges left" live)
+          | Error msg -> Some msg)
+      in
+      { Explore.fibers = [| body ~reader:false 0 2; body ~reader:true 1 3 |];
+        check })
+
 (* ---- adaptive frontend ----------------------------------------------- *)
 
 (* The adaptive core over the recording runtime, composing the same
@@ -601,8 +648,9 @@ let adaptive_rbias_alias =
 let all =
   [ mutex_overlap; mutex_fastpath; mutex_try; mutex_3dom; rw_validate_race;
     rw_writer_pref; rw_fastpath; rw_relink; fairgate_escalate; rwlock_basic;
-    park_unpark; skip_validate_race; skip_park; adaptive_switch_race;
-    adaptive_disjoint_park; adaptive_reader_bias; adaptive_rbias_alias ]
+    park_unpark; skip_validate_race; skip_park; skip_mixed_height;
+    adaptive_switch_race; adaptive_disjoint_park; adaptive_reader_bias;
+    adaptive_rbias_alias ]
 
 let run t =
   Explore.explore ~bound:t.bound ~max_steps:t.max_steps t.scen

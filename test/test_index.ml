@@ -11,7 +11,9 @@
      multi-level unlink must never be restamped while another domain
      still dereferences its handle;
    - the nil sentinel: released towers hold [N.nil_node] again, and no
-     walk touches the sentinel's own cell. *)
+     walk touches the sentinel's own cell;
+   - sized towers: a node allocates one cell per level above the bottom
+     and is linked at exactly those levels while it holds the lock. *)
 
 open Rlk
 module Skip = Rlk_index.Skip_rw
@@ -365,6 +367,140 @@ let test_sentinel_after_churn () =
   | Ok live -> Alcotest.(check int) "no live ranges" 0 live
   | Error msg -> Alcotest.failf "structure check failed: %s" msg
 
+(* ---------------- sized towers ----------------
+
+   A node's height is drawn when it is allocated, and its tower has one
+   cell per level above the bottom. Constant-height probes pin the node's
+   size: 19 words at height 1, whose tower is the shared empty array, and
+   20 + 3(h - 1) above it (the array's header and length, plus a 2-word
+   atomic per cell). *)
+
+module Height_probe (H : sig
+  val height : int
+end)
+() =
+  Rlk_index.Skip_rw_core_real.Make (Rlk_primitives.Traced_atomic.Real)
+    (struct
+      let max_level = 4
+
+      let height () = H.height
+    end)
+    ()
+
+(* Minor words per call of [f], after a warm-up. *)
+let words_per_call f =
+  for _ = 1 to 1_000 do ignore (Sys.opaque_identity (f ())) done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do ignore (Sys.opaque_identity (f ())) done;
+  (Gc.minor_words () -. w0) /. 10_000.
+
+(* Production skip-rw's read acquire+release pair behind one resident
+   reader: 50 words beyond the node (list-rw's pair allocates 46 there),
+   plus the node, 20.25 words on average with p = 1/4 heights (19, one
+   word for the array with probability 1/4, and 3 per cell times 1/3 of
+   a cell). The 10,000 measured pairs average 70.28; one node's size
+   varies by about 2 words, so their mean stays within 0.1 of that. It
+   was 109 with all 13 cells allocated. *)
+let skip_pair_bound = 70.5
+
+let test_tower_sized () =
+  let check h ~cells words =
+    Alcotest.(check int) (Printf.sprintf "height %d: tower cells" h) (h - 1)
+      cells;
+    let bound = if h = 1 then 19. else float (20 + (3 * (h - 1))) in
+    Alcotest.(check bool)
+      (Printf.sprintf "height %d: a node allocates <= %.0f words (got %.2f)" h
+         bound words)
+      true (words <= bound)
+  in
+  let r = range 2 3 in
+  let probe h =
+    let module P =
+      Height_probe
+        (struct
+          let height = h
+        end)
+        ()
+    in
+    let n = P.N.alloc ~reader:true r in
+    check h ~cells:(Array.length n.P.N.tower)
+      (words_per_call (fun () -> P.N.alloc ~reader:true r))
+  in
+  List.iter probe [ 1; 2; 3 ];
+  let t = Skip.create () in
+  let resident = Skip.read_acquire t (range 0 1) in
+  let per_pair =
+    words_per_call (fun () -> Skip.release t (Skip.read_acquire t r))
+  in
+  Skip.release t resident;
+  Alcotest.(check bool)
+    (Printf.sprintf "skip-rw read pair allocates <= %.1f words (got %.2f)"
+       skip_pair_bound per_pair)
+    true (per_pair <= skip_pair_bound)
+
+(* Two domains churn try-acquisitions and releases through an instance
+   with random heights, each keeping up to six ranges held, and stop with
+   their holds in place: the audit then sees towered and untowered
+   holders, each linked at exactly its tower's levels. Only
+   try-acquisitions are made while holding, so the two domains cannot
+   wait on each other. *)
+module Churn_probe =
+  Rlk_index.Skip_rw_core_real.Make (Rlk_primitives.Traced_atomic.Real)
+    (struct
+      let max_level = 4
+
+      let rng_key =
+        Domain.DLS.new_key (fun () ->
+            Prng.create
+              ~seed:
+                (Stress_helpers.domain_seed ~salt:4099
+                   (Domain.self () :> int)))
+
+      let height () = 1 + Prng.below (Domain.DLS.get rng_key) max_level
+    end)
+    ()
+
+let test_churn_audit () =
+  let module P = Churn_probe in
+  let t = P.create () in
+  let held =
+    Array.map Domain.join
+      (Stress_helpers.spawn_n 2 (fun id ->
+           let rng =
+             Prng.create ~seed:(Stress_helpers.domain_seed ~salt:6151 id)
+           in
+           let held = ref [] in
+           for _ = 1 to 3_000 do
+             let n = List.length !held in
+             if n >= 6 || (n > 0 && Prng.bool rng ~p:0.4) then begin
+               let i = Prng.below rng n in
+               P.release t (List.nth !held i);
+               held := List.filteri (fun j _ -> j <> i) !held
+             end
+             else
+               let lo = Prng.below rng 64 in
+               let r = range lo (lo + 1 + Prng.below rng 4) in
+               match
+                 if Prng.bool rng ~p:0.5 then P.try_read_acquire t r
+                 else P.try_write_acquire t r
+               with
+               | Some h -> held := h :: !held
+               | None -> ()
+           done;
+           !held))
+    |> Array.to_list |> List.concat
+  in
+  Alcotest.(check bool) "some holder is towered" true
+    (List.exists (fun (h : P.N.t) -> Array.length h.P.N.tower > 0) held);
+  (match P.check_structure t with
+   | Ok live ->
+     Alcotest.(check int) "audit counts the holders" (List.length held) live
+   | Error msg -> Alcotest.failf "structure check failed: %s" msg);
+  List.iter (P.release t) held;
+  match P.check_structure t with
+  | Ok live -> Alcotest.(check int) "no live ranges" 0 live
+  | Error msg -> Alcotest.failf "structure check failed: %s" msg
+
 let () =
   Alcotest.run "index"
     [ ("structure",
@@ -385,4 +521,9 @@ let () =
            test_tower_recycle_safe ]);
       ("nil-sentinel",
        [ Alcotest.test_case "released towers hold the nil node" `Quick
-           test_sentinel_after_churn ]) ]
+           test_sentinel_after_churn ]);
+      ("sized-towers",
+       [ Alcotest.test_case "tower sized to its height" `Quick
+           test_tower_sized;
+         Alcotest.test_case "2-domain churn ends in a clean audit" `Quick
+           test_churn_audit ]) ]
