@@ -17,8 +17,8 @@ module Router = Rlk_shard.Router
    - sharded regime: acquisitions whose shard cover is narrow go to
      per-shard lists; wide ones go to a global list [g].
    - list regime: every acquisition goes to [g], so the structure
-     degenerates to a plain [List_rw] (with its empty-list fast path) and
-     wide-heavy workloads stop paying the per-shard machinery.
+     degenerates to a plain [List_rw] and wide-heavy workloads stop
+     paying the per-shard machinery.
 
    The regime word is a *routing hint*, not a lock: correctness never
    depends on which regime an acquisition observed, so switching is one
@@ -27,23 +27,27 @@ module Router = Rlk_shard.Router
    store-buffer pattern the sharded frontend uses for its wide path, all
    seq-cst:
 
-     narrow op:  res[i]++ for every covered shard   (publish)
-                 insert into covered shards (ascending)
+     narrow op:  narrow_live++
+                 insert into covered shards (ascending)      (publish)
                  check [g] for conflicts (non-inserting, non-blocking)
-                   conflict -> retreat (release shards, res[i]--) and
-                               re-enter through [g]
-     g op:       insert into [g]                    (publish)
-                 for every covered shard with res[i] > 0:
+                   conflict -> retreat (release shards, narrow_live--)
+                               and re-enter through [g]
+     g op:       insert into [g]                             (publish)
+                 if narrow_live > 0, for every covered shard:
                    drain pre-existing conflicting narrow holders
 
-   If the narrow op's [g]-check misses a conflicting g holder, the whole
-   narrow publication precedes the g op's [res] load in the seq-cst
-   order, so the g op sees res > 0 and its drain finds the narrow node
+   The shard-list insertion is the narrow op's publication: its node is
+   linked by a seq-cst CAS, and the g op's drain walks the same list. If
+   the narrow op's [g]-check misses a conflicting g holder, its linking
+   CAS precedes the g op's [narrow_live] load and every load of the
+   drain's walk in the seq-cst order, so the drain finds the narrow node
    and waits. If the g holder was already granted, the narrow op's
    [g]-check sees its node and retreats. Either way one side observes the
    other; the chaos point [adaptive.switch.skip] disables the g-check to
    prove (under the model checker) that the handshake is what carries
-   exclusion across a regime switch.
+   exclusion across a regime switch. [narrow_live] only lets a g op skip
+   the drain when no narrow op is in flight anywhere; a drain over an
+   idle shard costs the backend's one empty-list load.
 
    Wait-for order is acyclic: g < shard 0 < shard 1 < ... A narrow op
    never blocks on [g] (its check is non-blocking; on conflict it
@@ -67,11 +71,10 @@ module Router = Rlk_shard.Router
    [adaptive.rbias.skip] disables exactly the writer's sweep (the
    model-checked mutation for this handshake).
 
-   Blocking acquisitions on one list (a single shard, or [g]) go
-   try-first and fall back to the backend's blocking acquire, which
-   waits on the node it conflicts with, as in the paper's list lock: only
-   the release of an overlapping range can wake it, and that release
-   always does. *)
+   Blocking acquisitions on one list (a single shard, or [g]) call the
+   backend's blocking acquire, which waits on the node it conflicts
+   with, as in the paper's list lock: only the release of an overlapping
+   range can wake it, and that release always does. *)
 
 (* Chaos injection points. [adaptive.switch.skip] and
    [adaptive.rbias.skip] are deliberately unsound ([switch.skip] drops
@@ -182,25 +185,29 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     | Wide of B.handle  (** granted through [g] *)
     | Fast of int  (** biased fast-path reader; slot index *)
 
-  (* As in Shard_rw: [sh] is only meaningful when [grant = Single], so the
-     common single-shard grant stays one (recycled) allocation. *)
+  (* [sh] is only meaningful when [grant = Single], so the common
+     single-shard grant allocates no list cell. Handles are plain young
+     allocations: a recycled handle lives in the major heap, and storing a
+     fresh grant and node into it every operation goes through the write
+     barrier. Release resets [grant] to [Free], so a double release is
+     still refused. *)
   let no_sub : B.handle = Obj.magic 0
 
   type handle = {
-    mutable reader : bool;
+    reader : bool;
     mutable grant : grant;
     mutable sh : B.handle;
   }
 
-  (* Per-domain scratch: the sampling tick, the recycled-handle stack and
-     the observation counters, one cache-line-isolated record per
-     domain-id slot. The counters live here rather than in shared atomics
-     so the hot paths never RMW a shared cache line just to be
-     observable; [snapshot] sums the slots (racy reads fine). *)
+  let mk ~reader grant sh = { reader; grant; sh }
+
+  (* Per-domain scratch: the sampling tick and the observation counters,
+     one cache-line-isolated record per domain-id slot. The counters live
+     here rather than in shared atomics so the hot paths never RMW a
+     shared cache line just to be observable; [snapshot] sums the slots
+     (racy reads fine). *)
   type dstate = {
     mutable tick : int;
-    mutable harr : handle array;
-    mutable hlen : int;
     mutable c_narrow : int;
     mutable c_multi : int;
     mutable c_g : int;
@@ -211,8 +218,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         (** reads left before this domain retries the biased fast path *)
     mutable r_back : int;  (** next cooldown length (exponential backoff) *)
   }
-
-  let hstack_cap = 64
 
   (* Reader-bias revocation (BRAVO's inhibition, counted in ops instead
      of wall time): a retract means a writer was live, and under a
@@ -239,16 +244,13 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     router : Router.t;
     shards : B.t array;
     g : B.t;
-    res : int Sim.A.t array;
-        (** per-shard live/in-flight narrow count — the publish side of
-            the cross-regime handshake *)
     narrow_live : int Sim.A.t;
-        (** total live/in-flight narrow operations; a single load lets the
-            g path skip the per-shard [res] sweep entirely in the common
-            list-regime steady state (no narrow op anywhere). Incremented
-            before any shard publication, decremented only after every
-            published node is marked — the same store-buffer argument as
-            [res], one level up. *)
+        (** live/in-flight narrow operations; a single load lets the g path
+            skip the shard drain entirely in the common list-regime steady
+            state (no narrow op anywhere). Incremented before any shard
+            insertion, decremented only after every inserted node is
+            marked, so a g op loading 0 after its own insertion knows that
+            any later narrow op will find its node in the [g]-check. *)
     mode : int Sim.A.t;
         (** low bit: 0 sharded / 1 list; upper bits: switch epoch *)
     w_live : int Sim.A.t;
@@ -285,9 +287,11 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
 
   (* [combine] must be false: flat combining was removed, and the
      parameter stays only so callers that still pass [~combine:false]
-     build. [true] raises [Invalid_argument]. *)
+     build. [true] raises [Invalid_argument]. [fast_path] is the
+     backends' empty-list fast path; off by default, since on one shard
+     it slows the list lock down (doc/perf.md). *)
   let create ?stats ?(shards = 8) ?(space = 1 lsl 16) ?narrow_max
-      ?(fast_path = true) ?(combine = false) ?(rbias = true)
+      ?(fast_path = false) ?(combine = false) ?(rbias = true)
       ?(rslot_count = rslot_default) ?(sample_every = 32) ?(window = 64)
       ?(hi_pct = 30) ?(lo_pct = 10) () =
     if combine then invalid_arg "Adaptive_rw.create: ~combine must be false";
@@ -301,7 +305,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         Array.init shards (fun _ ->
             Padded_counters.isolate (B.create ~fast_path ()));
       g = Padded_counters.isolate (B.create ~fast_path ());
-      res = Array.init shards (fun _ -> Sim.A.make_contended 0);
       narrow_live = Sim.A.make_contended 0;
       mode = Sim.A.make_contended 0;
       w_live = Sim.A.make_contended 0;
@@ -324,8 +327,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         Array.init Sim.capacity (fun _ ->
             Padded_counters.isolate
               { tick = 0;
-                harr = [||];
-                hlen = 0;
                 c_narrow = 0;
                 c_multi = 0;
                 c_g = 0;
@@ -418,55 +419,16 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     end
     else false
 
-  (* ---- handle recycling (Shard_rw's hpool pattern) ---- *)
-
   let dst t = t.dstates.(Sim.domain_id ())
-
-  let get_handle t =
-    let p = t.dstates.(Sim.domain_id ()) in
-    if p.hlen > 0 then begin
-      let h = p.harr.(p.hlen - 1) in
-      p.hlen <- p.hlen - 1;
-      h
-    end
-    else { reader = false; grant = Free; sh = no_sub }
-
-  let put_handle t h =
-    h.grant <- Free;
-    h.sh <- no_sub;
-    let p = t.dstates.(Sim.domain_id ()) in
-    if p.hlen < hstack_cap then begin
-      if Array.length p.harr = 0 then p.harr <- Array.make hstack_cap h;
-      p.harr.(p.hlen) <- h;
-      p.hlen <- p.hlen + 1
-    end
-
-  let mk t ~reader grant sh =
-    let h = get_handle t in
-    h.reader <- reader;
-    h.grant <- grant;
-    h.sh <- sh;
-    h
 
   (* ---- the cross-regime handshake ---- *)
 
-  let res_up t ~first ~last =
-    ignore (Sim.A.fetch_and_add t.narrow_live 1);
-    for i = first to last do
-      ignore (Sim.A.fetch_and_add t.res.(i) 1)
-    done
+  (* Raised before a narrow op inserts into any shard. *)
+  let narrow_up t = ignore (Sim.A.fetch_and_add t.narrow_live 1)
 
-  (* Retract the per-shard publications of shards [first..last] (the
-     never-inserted tail of a failed all-or-nothing try). Does NOT drop
-     [narrow_live] — that is per-operation, owed exactly once by whoever
-     ends the operation ([narrow_done]). *)
-  let res_down t ~first ~last =
-    for i = last downto first do
-      ignore (Sim.A.fetch_and_add t.res.(i) (-1))
-    done
-
-  (* The operation-level retraction: every published node is marked (or
-     was never inserted) by the time this runs. *)
+  (* The operation-level retraction, owed exactly once by whoever ends the
+     narrow op: every inserted node is marked (or was never inserted) by
+     the time this runs. *)
   let narrow_done t = ignore (Sim.A.fetch_and_add t.narrow_live (-1))
 
   (* ---- reader bias ---- *)
@@ -517,7 +479,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       if Sim.A.get t.w_live = 0 then begin
         d.c_fastr <- d.c_fastr + 1;
         d.r_back <- rcool_base;
-        Some (mk t ~reader:true (Fast me) no_sub)
+        Some (mk ~reader:true (Fast me) no_sub)
       end
       else begin
         (* Retract — free the slot (next generation) and wake, exactly
@@ -593,49 +555,43 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     else B.drain_conflicts t.g ~reader ~blocking:false ~deadline_ns:max_int r
 
   (* The g path's half: wait out (or, non-blocking/timed, test for)
-     pre-existing narrow holders in every covered shard that has any.
-     [res] = 0 skips a shard with one atomic load — the fee wide ops pay
-     in the list regime for narrow ops' right to exist at all. *)
-  let drain_res_slow t ~reader ~blocking ~deadline_ns ~first ~last r =
+     pre-existing narrow holders in every covered shard. The backend's
+     drain skips an empty shard list with one atomic load — the fee wide
+     ops pay for narrow ops' right to exist at all. *)
+  let drain_shards t ~reader ~blocking ~deadline_ns ~first ~last r =
     let ok = ref true in
     let i = ref first in
     while !ok && !i <= last do
-      if Sim.A.get t.res.(!i) > 0 then
-        if
-          not
-            (B.drain_conflicts t.shards.(!i) ~reader ~blocking ~deadline_ns
-               (Router.clamp t.router !i r))
-        then ok := false;
+      if
+        not
+          (B.drain_conflicts t.shards.(!i) ~reader ~blocking ~deadline_ns
+             (Router.clamp t.router !i r))
+      then ok := false;
       incr i
     done;
     !ok
 
   (* Lazy coverage: the common list-regime op reads one atomic and is
-     done — shard classification only happens once a live narrow
-     publication forces the per-shard sweep. The [narrow_live] load must
-     come after the caller's g insertion (see the field's invariant). *)
-  let drain_res t ~reader ~blocking ~deadline_ns r =
+     done — shard classification only happens once a live narrow op
+     forces the per-shard drain. The [narrow_live] load must come after
+     the caller's g insertion (see the field's invariant). *)
+  let drain_narrow t ~reader ~blocking ~deadline_ns r =
     Sim.A.get t.narrow_live = 0
     ||
     let first, last = Router.first_last t.router r in
-    drain_res_slow t ~reader ~blocking ~deadline_ns ~first ~last r
+    drain_shards t ~reader ~blocking ~deadline_ns ~first ~last r
 
   (* ---- releases ---- *)
 
-  (* Sub-release of one shard node: mark it, then retract the handshake
-     publication. [res] must not drop before the node is marked: a g op
-     skipping the shard on res = 0 must imply no live narrow holder. *)
-  let release_sub t i sub =
-    B.release t.shards.(i) sub;
-    ignore (Sim.A.fetch_and_add t.res.(i) (-1))
+  let release_sub t (i, sub) = B.release t.shards.(i) sub
 
   let release t h =
     (match h.grant with
      | Single i ->
-       release_sub t i h.sh;
+       B.release t.shards.(i) h.sh;
        narrow_done t
      | Narrow subs ->
-       List.iter (fun (i, sub) -> release_sub t i sub) subs;
+       List.iter (release_sub t) subs;
        narrow_done t
      | Wide gh -> B.release t.g gh
      | Fast i ->
@@ -649,7 +605,8 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
        ignore (W.wake_overlap t.rwait ~lo ~hi)
      | Free -> invalid_arg "Adaptive_rw.release: handle already released");
     if (not h.reader) && t.rbias then w_down t;
-    put_handle t h
+    h.grant <- Free;
+    h.sh <- no_sub
 
   (* ---- acquisition paths ---- *)
 
@@ -661,28 +618,22 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     let first, last = Router.first_last t.router r in
     last - first > t.narrow_max - 1
 
-  (* Blocking acquisition on one list [b]: a non-blocking try first,
-     then the backend's blocking acquire, which waits on the conflicting
-     node itself. *)
-  let acquire_on b ~reader r =
-    match (if reader then B.try_read_acquire else B.try_write_acquire) b r with
-    | Some h -> h
-    | None -> B.acquire b ~mode:(rw_mode reader) r
-
   (* Blocking acquisition through [g] (wide ops; every op in the list
      regime; narrow ops that lost the handshake). *)
   let acquire_g t ~reader r =
-    let gh = acquire_on t.g ~reader r in
-    ignore (drain_res t ~reader ~blocking:true ~deadline_ns:max_int r);
+    let gh = B.acquire t.g ~mode:(rw_mode reader) r in
+    ignore (drain_narrow t ~reader ~blocking:true ~deadline_ns:max_int r);
     let d = dst t in
     d.c_g <- d.c_g + 1;
-    mk t ~reader (Wide gh) no_sub
+    mk ~reader (Wide gh) no_sub
 
-  (* Blocking narrow acquisition: publish, insert ascending, check [g]. *)
+  (* Blocking narrow acquisition: raise [narrow_live], insert ascending,
+     check [g]. *)
   let acquire_narrow t ~reader r ~first ~last =
-    res_up t ~first ~last;
+    narrow_up t;
     let grant, sh =
-      if first = last then (Single first, acquire_on t.shards.(first) ~reader r)
+      if first = last then
+        (Single first, B.acquire t.shards.(first) ~mode:(rw_mode reader) r)
       else begin
         let subs = ref [] in
         for i = first to last do
@@ -698,14 +649,14 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       (match grant with
        | Single _ -> d.c_narrow <- d.c_narrow + 1
        | _ -> d.c_multi <- d.c_multi + 1);
-      mk t ~reader grant sh
+      mk ~reader grant sh
     end
     else begin
-      (* A granted g holder conflicts: retreat fully (release shard
-         nodes and the publication) and re-enter as a g op. *)
+      (* A granted g holder conflicts: retreat fully (release the shard
+         nodes, then drop [narrow_live]) and re-enter as a g op. *)
       (match grant with
-       | Single i -> release_sub t i sh
-       | Narrow subs -> List.iter (fun (i, sub) -> release_sub t i sub) subs
+       | Single i -> B.release t.shards.(i) sh
+       | Narrow subs -> List.iter (release_sub t) subs
        | _ -> assert false);
       narrow_done t;
       let d = dst t in
@@ -766,11 +717,11 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       with
       | None -> None
       | Some gh ->
-        if drain_res t ~reader ~blocking:false ~deadline_ns:max_int r
+        if drain_narrow t ~reader ~blocking:false ~deadline_ns:max_int r
         then begin
           let d = dst t in
           d.c_g <- d.c_g + 1;
-          Some (mk t ~reader (Wide gh) no_sub)
+          Some (mk ~reader (Wide gh) no_sub)
         end
         else begin
           B.release t.g gh;
@@ -800,7 +751,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       if sampled t then decide t ~wide_op;
       if wide_op then try_g ()
       else begin
-        res_up t ~first ~last;
+        narrow_up t;
       let try_shard i sub =
         (if reader then B.try_read_acquire else B.try_write_acquire)
           t.shards.(i) sub
@@ -811,11 +762,8 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
           match try_shard i (Router.clamp t.router i r) with
           | Some h -> go (i + 1) ((i, h) :: acc)
           | None ->
-            (* All-or-nothing: retreat from everything claimed. [res] for
-               the claimed shards drops inside release_sub; the never-
-               claimed tail drops below. *)
-            List.iter (fun (j, sub) -> release_sub t j sub) acc;
-            res_down t ~first:i ~last;
+            (* All-or-nothing: retreat from everything claimed. *)
+            List.iter (release_sub t) acc;
             narrow_done t;
             None
       in
@@ -826,7 +774,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
           match try_shard first r with
           | Some h -> Some [ (first, h) ]
           | None ->
-            res_down t ~first ~last;
             narrow_done t;
             None)
         else go first []
@@ -838,13 +785,13 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
           match subs with
           | [ (i, h) ] ->
             d.c_narrow <- d.c_narrow + 1;
-            Some (mk t ~reader (Single i) h)
+            Some (mk ~reader (Single i) h)
           | _ ->
             d.c_multi <- d.c_multi + 1;
-            Some (mk t ~reader (Narrow subs) no_sub)
+            Some (mk ~reader (Narrow subs) no_sub)
         end
         else begin
-          List.iter (fun (i, sub) -> release_sub t i sub) subs;
+          List.iter (release_sub t) subs;
           narrow_done t;
           None
         end
@@ -889,10 +836,10 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
           match B.acquire_opt t.g ~mode:(rw_mode reader) ~deadline_ns r with
           | None -> None
           | Some gh ->
-            if drain_res t ~reader ~blocking:true ~deadline_ns r then begin
+            if drain_narrow t ~reader ~blocking:true ~deadline_ns r then begin
               let d = dst t in
               d.c_g <- d.c_g + 1;
-              Some (mk t ~reader (Wide gh) no_sub)
+              Some (mk ~reader (Wide gh) no_sub)
             end
             else begin
               (* Deadline expired while narrow holders lived: unwind

@@ -497,7 +497,7 @@ let skip_mixed_height =
 (* The adaptive core over the recording runtime, composing the same
    List_rw core instance the other scenarios exercise: shard lists and
    the global list are full model-checked list locks, and the frontend's
-   res/mode/gcheck handshake interleaves with their insert/validate
+   narrow_live/mode/gcheck handshake interleaves with their insert/validate
    protocol on every schedule. *)
 module Adaptive_stack () = struct
   module S = Stack ()
@@ -549,14 +549,48 @@ let adaptive_switch_race =
   scenario "adaptive-switch-race" ~bound:3 ~max_steps:120_000 (fun () ->
       adaptive_switch_race_build ())
 
+(* The g path's shard drain against a multi-shard narrow writer: 3
+   shards x 2 units, [~narrow_max:2], bias and sampling off. The writer
+   [1,4) inserts into shards 0 and 1 and then checks [g]; the reader
+   [0,6) covers all three shards, so it is routed to [g], and once it is
+   linked there it drains every covered shard (shard 2 stays idle: the
+   drain's empty-list load). No per-shard counter says which shards hold
+   narrow nodes, so exclusion over [1,4) rests on the shard insertions
+   themselves: either the writer's [g]-check finds the reader's node and
+   the writer retreats to [g], or the reader's drain walks into the
+   writer's shard nodes and waits them out. *)
+let adaptive_narrow_drain =
+  scenario "adaptive-narrow-drain" ~bound:3 ~max_steps:120_000 (fun () ->
+      let module S = Adaptive_stack () in
+      let lock =
+        S.AD.create ~shards:3 ~space:6 ~narrow_max:2 ~sample_every:0
+          ~rbias:false ()
+      in
+      let r = recorder () in
+      let writer () =
+        let h = S.AD.write_acquire lock (range 1 4) in
+        let span = acquired r ~lock:"ad" ~mode:Lockstat.Write ~lo:1 ~hi:4 in
+        Sched.note "two-shard writer holds [1,4)";
+        Sched.pause ();
+        released r ~lock:"ad" ~mode:Lockstat.Write ~span ~lo:1 ~hi:4;
+        S.AD.release lock h
+      in
+      let reader () =
+        let h = S.AD.read_acquire lock (range 0 6) in
+        let span = acquired r ~lock:"ad" ~mode:Lockstat.Read ~lo:0 ~hi:6 in
+        Sched.note "g reader holds [0,6)";
+        Sched.pause ();
+        released r ~lock:"ad" ~mode:Lockstat.Read ~span ~lo:0 ~hi:6;
+        S.AD.release lock h
+      in
+      { Explore.fibers = [| writer; reader |]; check = oracle_check r })
+
 (* Two writers on disjoint ranges of one shard, with reader bias off so
    every grant goes through the shard list. [0,1) acquires and releases
-   twice, [2,3) once. A non-blocking try on the list fails on any CAS race
-   or restart, including one against a disjoint insert or release, so on
-   some schedules each writer falls back to the blocking acquire. That
-   fallback must wait only on a node it actually conflicts with: a writer
-   parked where no overlapping release will come is a deadlock the
-   explorer reports. *)
+   twice, [2,3) once, each through the list's blocking acquire, racing the
+   other's insert and release. A blocking acquire must wait only on a node
+   it actually conflicts with: a writer parked where no overlapping
+   release will come is a deadlock the explorer reports. *)
 let adaptive_disjoint_park =
   scenario "adaptive-disjoint-park" ~bound:4 ~max_steps:120_000 (fun () ->
       let module S = Adaptive_stack () in
@@ -649,8 +683,8 @@ let all =
   [ mutex_overlap; mutex_fastpath; mutex_try; mutex_3dom; rw_validate_race;
     rw_writer_pref; rw_fastpath; rw_relink; fairgate_escalate; rwlock_basic;
     park_unpark; skip_validate_race; skip_park; skip_mixed_height;
-    adaptive_switch_race; adaptive_disjoint_park; adaptive_reader_bias;
-    adaptive_rbias_alias ]
+    adaptive_switch_race; adaptive_narrow_drain; adaptive_disjoint_park;
+    adaptive_reader_bias; adaptive_rbias_alias ]
 
 let run t =
   Explore.explore ~bound:t.bound ~max_steps:t.max_steps t.scen

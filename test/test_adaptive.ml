@@ -112,6 +112,42 @@ let test_combine_rejected () =
     (Invalid_argument "Adaptive_rw.create: ~combine must be false")
     (fun () -> ignore (A.create ~combine:true ()))
 
+(* ---- allocation on the narrow path ---- *)
+
+(* Minor words per acquire+release pair after a warm-up. *)
+let pair_words pair =
+  for _ = 1 to 1_000 do pair () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do pair () done;
+  (Gc.minor_words () -. w0) /. 10_000.
+
+(* A single-shard pair behind one resident holder, bias off so both
+   modes take the shard list (OCaml 5.1, no flambda). A read pair
+   allocates 78 words: the backend's 19-word node and the 46 words of
+   its insert path (test_core's bounds), the 4-word handle, the 2-word
+   [Single] grant, and 7 words of shard classification ([Router]'s
+   first/last pair and [classify]'s triple). A write pair allocates 79:
+   list-rw's writer path allocates one word more than its reader's. The
+   bounds are the exact figures, so a new allocation anywhere on the
+   frontend's narrow path fails them. *)
+let test_narrow_allocation () =
+  let t = A.create ~shards:4 ~space:64 ~rbias:false () in
+  let resident = A.read_acquire t (range 0 1) in
+  let r = range 2 3 in
+  let check what ~bound words =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s pair allocates <= %.0f words (got %.2f)" what bound
+         words)
+      true (words <= bound)
+  in
+  check "read" ~bound:78.
+    (pair_words (fun () -> A.release t (A.read_acquire t r)));
+  check "write" ~bound:79.
+    (pair_words (fun () -> A.release t (A.write_acquire t r)));
+  Alcotest.(check int) "the resident and every pair took one shard" 22_001
+    (A.snapshot t).A.s_narrow;
+  A.release t resident
+
 (* ---- same-shard pile-up ---- *)
 
 let spin_until ?(timeout_s = 10.) what pred =
@@ -531,6 +567,9 @@ let () =
           Alcotest.test_case "force_regime" `Quick test_force_regime;
           Alcotest.test_case "combine:true rejected" `Quick
             test_combine_rejected ] );
+      ( "allocation",
+        [ Alcotest.test_case "narrow pair words" `Quick
+            test_narrow_allocation ] );
       ( "pile-up",
         [ Alcotest.test_case "same-shard pile-up exclusion" `Quick
             test_pile_up ] );
