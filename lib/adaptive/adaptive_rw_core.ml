@@ -578,8 +578,8 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
   let drain_narrow t ~reader ~blocking ~deadline_ns r =
     Sim.A.get t.narrow_live = 0
     ||
-    let first, last = Router.first_last t.router r in
-    drain_shards t ~reader ~blocking ~deadline_ns ~first ~last r
+    drain_shards t ~reader ~blocking ~deadline_ns
+      ~first:(Router.first t.router r) ~last:(Router.last t.router r) r
 
   (* ---- releases ---- *)
 
@@ -610,13 +610,12 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
 
   (* ---- acquisition paths ---- *)
 
-  let classify t r =
-    let first, last = Router.first_last t.router r in
-    (first, last, last - first > t.narrow_max - 1)
+  (* Narrow or wide by shard cover. The callers take [first] and [last]
+     as two ints rather than a tuple, so classifying allocates nothing. *)
+  let is_wide t ~first ~last = last - first > t.narrow_max - 1
 
   let wide_of t r =
-    let first, last = Router.first_last t.router r in
-    last - first > t.narrow_max - 1
+    is_wide t ~first:(Router.first t.router r) ~last:(Router.last t.router r)
 
   (* Blocking acquisition through [g] (wide ops; every op in the list
      regime; narrow ops that lost the handshake). *)
@@ -691,7 +690,9 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         acquire_g t ~reader r
       end
       else begin
-        let first, last, wide_op = classify t r in
+        let first = Router.first t.router r
+        and last = Router.last t.router r in
+        let wide_op = is_wide t ~first ~last in
         if sampled t then decide t ~wide_op;
         if wide_op then acquire_g t ~reader r
         else acquire_narrow t ~reader r ~first ~last
@@ -747,7 +748,9 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       try_g ()
     end
     else begin
-      let first, last, wide_op = classify t r in
+      let first = Router.first t.router r
+      and last = Router.last t.router r in
+      let wide_op = is_wide t ~first ~last in
       if sampled t then decide t ~wide_op;
       if wide_op then try_g ()
       else begin

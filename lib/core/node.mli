@@ -47,10 +47,11 @@ type t = {
           node" value — what the empty-list fast path CASes into the
           head, and what marking a predecessor whose successor is this
           node installs *)
-  tower : t aref array;
+  tower : link aref array;
       (** index tower cells (the skip-index core's hint levels), each
-          holding {!nil_node} while unlinked; the shared empty array for
-          list nodes *)
+          holding a link to the node's successor at that level (marked
+          once the node leaves the level) or {!nil} while unlinked; the
+          shared empty array for list nodes *)
 }
 
 and link = { marked : bool; succ : t; mutable twin : link }

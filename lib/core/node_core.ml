@@ -18,7 +18,7 @@ module type S = sig
     next : link aref;
     mutable live_link : link;
     mutable self_link : link;
-    tower : t aref array;
+    tower : link aref array;
   }
 
   and link = { marked : bool; succ : t; mutable twin : link }
@@ -56,7 +56,7 @@ struct
     next : link aref;
     mutable live_link : link;
     mutable self_link : link;
-    tower : t aref array;  (* cell [l-1] holds index level [l] *)
+    tower : link aref array;  (* cell [l-1] holds index level [l] *)
   }
 
   and link = { marked : bool; succ : t; mutable twin : link }
@@ -108,10 +108,11 @@ struct
      node is published, not by [let rec], which costs two dummy blocks
      and two C calls per node. A tower of [k > 0] cells adds its array
      (1 + k words) and the cells (2 each): 20 + 3k words in all. A tower
-     of [0] cells is the shared empty array and adds nothing. An unlinked
-     tower cell holds [nil_node]. [empty_cell] is top-level so
-     [Array.init] gets a closure that is not allocated per node. *)
-  let empty_cell _ = Sim.A.make nil_node
+     of [0] cells is the shared empty array and adds nothing. A tower
+     cell holds a link, like [next]; an unlinked one holds [nil].
+     [empty_cell] is top-level so [Array.init] gets a closure that is not
+     allocated per node. *)
+  let empty_cell _ = Sim.A.make nil
 
   let alloc ~reader r =
     let n =

@@ -10,7 +10,7 @@ open Rlk_primitives
    paper recommends p = 1/4: it keeps the expected descent cost at
    O(log n), about that of p = 1/2, with ~1.33 pointers per node instead
    of 2 (1/3 of a tower cell on average), and only a quarter of the
-   grants and releases take the tower guard. *)
+   grants and releases link or unlink tower levels. *)
 
 let max_level = 14
 

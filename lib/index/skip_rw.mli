@@ -11,8 +11,9 @@
     Locating the insertion point and conflict window is therefore
     O(log n) in the number of concurrently held ranges instead of a
     head-to-position list walk. The bottom level remains the authoritative structure;
-    towers are hints, mutated only under a per-lock guard and read
-    lock-free. Conflict waits park on the shared waiter queue; released
+    towers are hints, each level a lock-free list whose nodes are
+    linked and unlinked with one CAS per level; no grant or release
+    takes a lock. Conflict waits park on the shared waiter queue; released
     nodes are left to the GC.
 
     Unlike {!Rlk.List_rw} there is no empty-list fast path, no fairness

@@ -378,8 +378,8 @@ let park_unpark =
 
 (* The skip-index stack over the recording runtime: two levels with a
    constant height of 2, so *every* grant links a tower entry and every
-   release unlinks one — the guard-serialized tower maintenance
-   interleaves with the bottom insert/validate protocol on every
+   release unlinks one — the lock-free tower link, freeze and unlink
+   CASes interleave with the bottom insert/validate protocol on every
    schedule, not just on lucky coin flips. *)
 module Skip_stack () = struct
   module SK =
@@ -448,9 +448,9 @@ let skip_park =
 (* Towers of different sizes in one explored run: three levels, and the
    height comes from the fiber id, not from shared state, so the draw
    hides no dependency from DPOR. Fiber 0's writer is untowered (its
-   tower is the shared empty array, so its release skips the guard);
-   fiber 1's reader has two cells, and its grant splices them under the
-   guard while the writer descends, validates, retreats or releases, so
+   tower is the shared empty array, so its release has no tower work);
+   fiber 1's reader has two cells, and its grant links them, bottom-up,
+   while the writer descends, validates, retreats or releases, so
    the writer's descents meet towers that are being linked and unlinked
    at both levels. The ranges overlap, so the oracle also checks
    exclusion across those races. Once both have released, the structural
@@ -491,6 +491,45 @@ let skip_mixed_height =
       in
       { Explore.fibers = [| body ~reader:false 0 2; body ~reader:true 1 3 |];
         check })
+
+(* A towered release racing a towered grant whose predecessor at both
+   tower levels is the releasing node: three levels at a constant height
+   of 3. The holder of [0,1) is granted before the fibers start; fiber 0
+   releases it (freeze both cells, unlink both levels, reset) while
+   fiber 1 grants [2,3) and keeps it, so fiber 1's searches meet frozen
+   cells they must help out, and its link CASes target the cells being
+   frozen. The ranges are disjoint, so there is no history to check: the
+   check is the structural audit, which must find exactly fiber 1's
+   range live, linked at both levels, with no frozen cell left.
+   Unlinking without freezing first (arming [skip_rw.tower_freeze.skip])
+   lets fiber 1 link behind the released node after its release read
+   that node's successor, so the unlink drops fiber 1 from the level:
+   the audit must report it missing. *)
+let skip_tower_race =
+  scenario "skip-tower-race" ~bound:2 ~max_steps:40_000 (fun () ->
+      let module SK =
+        Rlk_index.Skip_rw_core.Make (Sched.Sim)
+          (struct
+            let max_level = 3
+
+            let height () = 3
+          end)
+          ()
+      in
+      let lock = SK.create () in
+      let pre = SK.read_acquire lock (range 0 1) in
+      let releaser () = SK.release lock pre in
+      let granter () =
+        ignore (SK.write_acquire lock (range 2 3));
+        Sched.note "writer holds [2,3)"
+      in
+      let check () =
+        match SK.check_structure lock with
+        | Ok 1 -> None
+        | Ok live -> Some (Printf.sprintf "%d ranges live, expected 1" live)
+        | Error msg -> Some msg
+      in
+      { Explore.fibers = [| releaser; granter |]; check })
 
 (* ---- adaptive frontend ----------------------------------------------- *)
 
@@ -683,6 +722,7 @@ let all =
   [ mutex_overlap; mutex_fastpath; mutex_try; mutex_3dom; rw_validate_race;
     rw_writer_pref; rw_fastpath; rw_relink; fairgate_escalate; rwlock_basic;
     park_unpark; skip_validate_race; skip_park; skip_mixed_height;
+    skip_tower_race;
     adaptive_switch_race; adaptive_narrow_drain; adaptive_disjoint_park;
     adaptive_reader_bias; adaptive_rbias_alias ]
 

@@ -48,8 +48,12 @@ let shard_of_point t x =
   if t.shift >= 0 then min (x lsr t.shift) (t.shards - 1)
   else min (x / t.width) (t.shards - 1)
 
-let first_last t r =
-  (shard_of_point t (Range.lo r), shard_of_point t (Range.hi r - 1))
+(* The first and last shard covering a range: two calls rather than one
+   returning a pair, which the compiler would allocate at every
+   acquisition. *)
+let first t r = shard_of_point t (Range.lo r)
+
+let last t r = shard_of_point t (Range.hi r - 1)
 
 let clamp t i r =
   match Range.intersect r (span t i) with
@@ -59,12 +63,10 @@ let clamp t i r =
 (* Cover *count* without materializing the list: the adaptive frontend
    classifies every acquisition as narrow or wide by this number, so it
    must stay allocation-free. *)
-let covers t r =
-  let first, last = first_last t r in
-  last - first + 1
+let covers t r = last t r - first t r + 1
 
 let cover t r =
-  let first, last = first_last t r in
+  let first = first t r and last = last t r in
   List.init (last - first + 1) (fun k ->
       let i = first + k in
       (i, clamp t i r))

@@ -25,14 +25,16 @@ val span : t -> int -> Rlk.Range.t
 
 val shard_of_point : t -> int -> int
 
-val first_last : t -> Rlk.Range.t -> int * int
-(** Indices of the first and last shard covering the range — the
+val first : t -> Rlk.Range.t -> int
+(** Index of the first shard covering the range. With {!last}, the
     allocation-free form of {!cover} for the acquisition hot path. *)
 
+val last : t -> Rlk.Range.t -> int
+(** Index of the last shard covering the range. *)
+
 val covers : t -> Rlk.Range.t -> int
-(** Number of shards covering the range ([last - first + 1] of
-    {!first_last}) — the adaptive frontend's narrow/wide classifier,
-    allocation-free. *)
+(** Number of shards covering the range ([last - first + 1]) — the
+    adaptive frontend's narrow/wide classifier, allocation-free. *)
 
 val clamp : t -> int -> Rlk.Range.t -> Rlk.Range.t
 (** Intersection of the range with a covering shard's span; raises

@@ -47,7 +47,7 @@ let check_scenario (t : Scenarios.t) () =
    integer), and the pristine code must explore clean once the fault is
    disarmed. Each row proves the checker observes the edge the skipped
    step provides. *)
-type expect = Overlap | Deadlock
+type expect = Overlap | Deadlock | Audit
 
 type mutation = {
   case : string;  (* Alcotest case name *)
@@ -76,6 +76,13 @@ let mutations =
       target = Scenarios.skip_validate_race;
       point = "skip_rw.w_validate"; seed = 707; expect = Overlap;
       observes = "the tower-path validation race" };
+    (* Freezing a tower cell before unlinking it: the only edge that
+       stops a grant from linking behind a node whose unlink has already
+       read its successor. *)
+    { case = "skip-rw tower_freeze-skip counterexample";
+      target = Scenarios.skip_tower_race;
+      point = "skip_rw.tower_freeze"; seed = 808; expect = Audit;
+      observes = "the tower unlink race" };
     (* The adaptive narrow path's g-conflict check: the only edge making an
        already-granted g holder visible to a narrow acquirer. *)
     { case = "adaptive switch-skip counterexample";
@@ -100,7 +107,7 @@ let mutations =
 
 let expected m (kind : Explore.failure_kind) =
   match (m.expect, kind) with
-  | Overlap, Explore.Check _ | Deadlock, Explore.Deadlock -> true
+  | (Overlap | Audit), Explore.Check _ | Deadlock, Explore.Deadlock -> true
   | _ -> false
 
 let failure_kind kind = Format.asprintf "%a" Explore.pp_failure_kind kind
@@ -123,7 +130,8 @@ let mutation m () =
           Alcotest.failf "expected %s, got: %s"
             (match m.expect with
              | Overlap -> "an oracle overlap"
-             | Deadlock -> "a lost-wakeup deadlock")
+             | Deadlock -> "a lost-wakeup deadlock"
+             | Audit -> "a structural audit failure")
             (failure_kind v.kind);
         Printf.printf
           "%s.skip counterexample found after %d schedule(s) (expected):\n\

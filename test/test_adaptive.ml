@@ -123,11 +123,12 @@ let pair_words pair =
 
 (* A single-shard pair behind one resident holder, bias off so both
    modes take the shard list (OCaml 5.1, no flambda). A read pair
-   allocates 78 words: the backend's 19-word node and the 46 words of
-   its insert path (test_core's bounds), the 4-word handle, the 2-word
-   [Single] grant, and 7 words of shard classification ([Router]'s
-   first/last pair and [classify]'s triple). A write pair allocates 79:
-   list-rw's writer path allocates one word more than its reader's. The
+   allocates 71 words: the backend's 19-word node and the 46 words of
+   its insert path (test_core's bounds), the 4-word handle and the
+   2-word [Single] grant. Shard classification allocates nothing: the
+   first and last shard come from two [Router] calls, not a tuple (they
+   cost 7 words while they did). A write pair allocates 72: list-rw's
+   writer path allocates one word more than its reader's. The
    bounds are the exact figures, so a new allocation anywhere on the
    frontend's narrow path fails them. *)
 let test_narrow_allocation () =
@@ -140,9 +141,9 @@ let test_narrow_allocation () =
          words)
       true (words <= bound)
   in
-  check "read" ~bound:78.
+  check "read" ~bound:71.
     (pair_words (fun () -> A.release t (A.read_acquire t r)));
-  check "write" ~bound:79.
+  check "write" ~bound:72.
     (pair_words (fun () -> A.release t (A.write_acquire t r)));
   Alcotest.(check int) "the resident and every pair took one shard" 22_001
     (A.snapshot t).A.s_narrow;

@@ -10,8 +10,11 @@
    - the tower recycle regression: a node released through a
      multi-level unlink must never be restamped while another domain
      still dereferences its handle;
-   - the nil sentinel: released towers hold [N.nil_node] again, and no
-     walk touches the sentinel's own cell;
+   - lock-free tower races: releases racing grants at the same
+     predecessors leave no released node reachable, and the audit
+     rejects a frozen cell on a holder;
+   - the nil sentinel: released towers hold [N.nil] again, and no walk
+     touches the sentinel's own cell;
    - sized towers: a node allocates one cell per level above the bottom
      and is linked at exactly those levels while it holds the lock. *)
 
@@ -232,8 +235,8 @@ let differential_test =
    Released nodes are left to the GC, never reused, so a handle that a
    concurrent domain still holds must keep its range for good. A
    dedicated skip-core instance with a *constant* tower height of 3
-   makes every release a multi-level unlink (tower levels under the
-   guard, then the bottom mark). A writer stamps each node via its
+   makes every release a multi-level unlink (freeze and unlink each
+   tower level, then the bottom mark). A writer stamps each node via its
    range ([lo] strictly increases per iteration), publishes the handle,
    then releases; a reader dereferences the published handle, dwells
    across the release, and checks the stamp did not change. Any future
@@ -308,6 +311,63 @@ let test_tower_recycle_safe () =
       "released tower node restamped under a reader %d times (replay seed 7)"
       violations
 
+
+(* ---------------- lock-free tower races ----------------
+
+   Towers are linked and unlinked with one CAS per level and no lock, so
+   a release that freezes and unlinks a node races grants whose
+   predecessor at some level is that node. Two domains grant and release
+   adjacent ranges through the constant-height probe, [0,1) and [1,2):
+   each node's predecessor at every level is the sentinel or the other
+   domain's node, so every unlink races a splice at the same cells. At
+   the end no released node may be reachable at any level: every
+   sentinel cell is back at [tail], and every released cell holds
+   [N.nil]. *)
+let test_tower_adjacent_race () =
+  let module P = Tower_probe in
+  let t = P.create () in
+  let released =
+    Array.map Domain.join
+      (Stress_helpers.spawn_n 2 (fun id ->
+           List.init 5_000 (fun _ ->
+               let h = P.write_acquire t (range id (id + 1)) in
+               P.release t h;
+               h)))
+    |> Array.to_list |> List.concat
+  in
+  (match P.check_structure t with
+   | Ok live -> Alcotest.(check int) "no live ranges" 0 live
+   | Error msg -> Alcotest.failf "structure check failed: %s" msg);
+  Alcotest.(check bool) "every level ends at the sentinel's tail" true
+    (Array.for_all
+       (fun c -> (Atomic.get c).P.N.succ == P.tail)
+       t.P.index.P.Tower.sentinel.P.N.tower);
+  Alcotest.(check int) "released cells hold nil" 0
+    (List.length
+       (List.filter
+          (fun (h : P.N.t) ->
+            Array.exists (fun c -> Atomic.get c != P.N.nil) h.P.N.tower)
+          released))
+
+(* The audit rejects a holder with a frozen cell: only a release freezes
+   one, and it leaves the level before the release returns. *)
+let test_frozen_cell_rejected () =
+  let module P = Tower_probe in
+  let t = P.create () in
+  let h = P.read_acquire t (range 4 5) in
+  let cell = h.P.N.tower.(1) in
+  let live = Atomic.get cell in
+  Atomic.set cell (P.N.marked live);
+  (match P.check_structure t with
+   | Ok _ -> Alcotest.fail "a frozen cell on a holder passed the audit"
+   | Error _ -> ());
+  Atomic.set cell live;
+  P.release t h;
+  match P.check_structure t with
+  | Ok live -> Alcotest.(check int) "no live ranges" 0 live
+  | Error msg -> Alcotest.failf "structure check failed: %s" msg
+
+
 (* ---------------- nil sentinel ----------------
 
    An unlinked tower cell holds the instance's [N.nil_node], and the end
@@ -359,7 +419,7 @@ let test_sentinel_after_churn () =
   let linked =
     List.concat (Array.to_list released)
     |> List.filter (fun (h : P.N.t) ->
-           Array.exists (fun c -> Atomic.get c != P.N.nil_node) h.P.N.tower)
+           Array.exists (fun c -> Atomic.get c != P.N.nil) h.P.N.tower)
   in
   Alcotest.(check int) "released towers hold the nil node" 0
     (List.length linked);
@@ -519,6 +579,11 @@ let () =
       ("tower-recycle",
        [ Alcotest.test_case "released node keeps its range" `Quick
            test_tower_recycle_safe ]);
+      ("tower-race",
+       [ Alcotest.test_case "adjacent grants race releases" `Quick
+           test_tower_adjacent_race;
+         Alcotest.test_case "audit rejects a frozen holder cell" `Quick
+           test_frozen_cell_rejected ]);
       ("nil-sentinel",
        [ Alcotest.test_case "released towers hold the nil node" `Quick
            test_sentinel_after_churn ]);

@@ -45,7 +45,7 @@ let prop_cover_exact =
         cover;
       if !expected <> Range.hi r then ok := false;
       (* Agreement with the allocation-free hot-path form. *)
-      let first, last = Router.first_last t r in
+      let first = Router.first t r and last = Router.last t r in
       (match (idx, List.rev idx) with
        | f :: _, l :: _ -> if f <> first || l <> last then ok := false
        | _ -> ok := false);
@@ -98,12 +98,14 @@ let test_boundary_at_space () =
      clamp. *)
   Alcotest.(check int) "space - 1 routes to last shard" (shards - 1)
     (Router.shard_of_point t (space - 1));
-  let first, last = Router.first_last t (range (space - 1) space) in
-  Alcotest.(check (pair int int)) "tail sliver first_last"
+  let tail = range (space - 1) space in
+  let first = Router.first t tail and last = Router.last t tail in
+  Alcotest.(check (pair int int)) "tail sliver first/last"
     (shards - 1, shards - 1) (first, last);
   (* Same boundary on a non-power-of-two width (division route). *)
   let t = Router.create ~shards:3 ~space:21 in
-  let first, last = Router.first_last t (range 20 21) in
+  let first = Router.first t (range 20 21)
+  and last = Router.last t (range 20 21) in
   Alcotest.(check (pair int int)) "odd-width tail sliver" (2, 2)
     (first, last);
   let cover = Router.cover t (range 6 21) in
