@@ -634,8 +634,8 @@ let lock_health cfg =
 (* Run every registered lock through a short oracle-checked ArrBench mix:
    the lock is wrapped in Rlk_check.Record, the history armed with an
    online oracle sink, and the drained whole-run history replayed offline —
-   overlap violations or leaked handles fail the process (exit 1). This is
-   the CI hook; see doc/testing.md. *)
+   overlap violations or leaked handles fail the run (the caller exits 1).
+   This is the CI hook; see doc/testing.md. *)
 let verify cfg =
   let locks =
     Locks.arrbench_locks
@@ -727,11 +727,9 @@ let verify cfg =
      (fun ppf () -> Rlk_check.Oracle.pp_report ppf report)
      ()
      (if ok then "" else "  ** VIOLATION **"));
-  if !bad > 0 then begin
-    say "verify: FAILED for %d lock(s)" !bad;
-    exit 1
-  end
-  else say "verify: all locks clean (no overlap violations, no residue)"
+  if !bad > 0 then say "verify: FAILED for %d lock(s)" !bad
+  else say "verify: all locks clean (no overlap violations, no residue)";
+  !bad = 0
 
 (* ---------------- CI perf gate (--gate) ---------------- *)
 
@@ -767,7 +765,8 @@ let json_number_field content key =
    are used on both sides precisely so this gate survives noisy CI
    hosts: common-mode throughput swings cancel out of the ratio. The
    uncontended disjoint cell is reported but not gated — its ratio is
-   dominated by allocator placement, not by lock-path changes. *)
+   dominated by allocator placement, not by lock-path changes. Returns
+   whether every gated ratio held. *)
 let gate ~baseline measured =
   let content =
     let ic = open_in baseline in
@@ -788,10 +787,8 @@ let gate ~baseline measured =
            base floor
            (if ok then "ok" else "REGRESSED"))
     measured;
-  if !failed then begin
-    say "   perf gate failed against %s" baseline;
-    exit 1
-  end
+  if !failed then say "   perf gate failed against %s" baseline;
+  not !failed
 
 (* ---------------- Long-list regime (--longlist) ---------------- *)
 
@@ -1218,16 +1215,17 @@ let smoke cfg =
         say "smoke JSON written to %s" file);
      (* The lock-health pass would otherwise overwrite the file. *)
      json_path := None);
+  (* Every gate runs and prints its verdict before the pass exits, so one
+     red gate does not hide the others. *)
   (* Absolute gate, independent of any baseline file: the skip index must
      beat the list scan outright at N=10^4 disjoint resident ranges. *)
-  if ll_ratio <= 1.0 then begin
+  let ll_ok = ll_ratio > 1.0 in
+  if ll_ok then
+    say "   longlist gate: skip-rw/list-rw %.2fx at N=%d (> 1.0): ok" ll_ratio
+      ll_n
+  else
     say "   longlist gate: skip-rw/list-rw %.2f at N=%d (<= 1.0): REGRESSED"
       ll_ratio ll_n;
-    exit 1
-  end
-  else
-    say "   longlist gate: skip-rw/list-rw %.2fx at N=%d (> 1.0): ok" ll_ratio
-      ll_n;
   (* Absolute gate for the adaptive frontend: picking a regime per cell
      must never lose to always-list on the median paired ratio — if it
      does, the sampling/switching machinery costs more than it buys and
@@ -1243,17 +1241,26 @@ let smoke cfg =
          (if ok then ">=" else "<")
          (if ok then "ok" else "REGRESSED"))
     [ "disjoint/100"; "full/100"; "random/90" ];
-  if !a_failed then begin
-    say "   adaptive gate failed";
+  if !a_failed then say "   adaptive gate failed";
+  let base_ok =
+    match !gate_path with
+    | None -> true
+    | Some file ->
+      gate ~baseline:file
+        [ ("full_100", ratio "full/100"); ("random_60", ratio "random/60");
+          ("longlist_10000", ll_ratio) ]
+  in
+  let verify_ok = verify cfg in
+  let failed =
+    List.filter_map
+      (fun (name, ok) -> if ok then None else Some name)
+      [ ("longlist", ll_ok); ("adaptive", not !a_failed);
+        ("baseline", base_ok); ("verify", verify_ok) ]
+  in
+  if failed <> [] then begin
+    say "smoke: failed gates: %s" (String.concat ", " failed);
     exit 1
-  end;
-  (match !gate_path with
-   | None -> ()
-   | Some file ->
-     gate ~baseline:file
-       [ ("full_100", ratio "full/100"); ("random_60", ratio "random/60");
-         ("longlist_10000", ll_ratio) ]);
-  verify cfg
+  end
 
 (* ---------------- driver ---------------- *)
 
@@ -1282,7 +1289,7 @@ let run figures quick bechamel_only ablation_only verify_only smoke_only
   say "";
   if smoke_only then smoke cfg
   else if longlist_only then longlist cfg
-  else if verify_only then verify cfg
+  else if verify_only then (if not (verify cfg) then exit 1)
   else if bechamel_only then run_bechamel ()
   else if ablation_only then ablation cfg
   else begin
@@ -1342,7 +1349,8 @@ let smoke_arg =
         ~doc:
           "Only run the CI smoke pass: three ArrBench cells over the list, \
            segment and shard locks (written as JSON with --json), then the \
-           full verification pass; exits non-zero on any violation.")
+           full verification pass. Every gate runs and prints its verdict; \
+           exits non-zero if any gate failed or any violation was seen.")
 
 let longlist_arg =
   Arg.(

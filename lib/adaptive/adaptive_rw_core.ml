@@ -1,7 +1,6 @@
 open Rlk_primitives
 module Fault = Rlk_chaos.Fault
 module Range = Rlk.Range
-module Router = Rlk_shard.Router
 
 (* Adaptive frontend over the list-based range-lock cores (see
    doc/perf.md, "Adaptive regimes").

@@ -1,6 +1,6 @@
 module Range = Rlk.Range
 
-type t = { shards : int; width : int; space : int; shift : int }
+type t = { shards : int; width : int; shift : int }
 
 (* Validate loudly at construction: every other entry point divides or
    shifts by [width], so a bad geometry admitted here would surface as a
@@ -26,11 +26,9 @@ let create ~shards ~space =
       log2 0 width
     else -1
   in
-  { shards; width; space; shift }
+  { shards; width; shift }
 
 let shards t = t.shards
-
-let space t = t.space
 
 let width t = t.width
 
@@ -60,17 +58,8 @@ let clamp t i r =
   | Some sub -> sub
   | None -> invalid_arg "Router.clamp: shard does not intersect the range"
 
-(* Cover *count* without materializing the list: the adaptive frontend
-   classifies every acquisition as narrow or wide by this number, so it
-   must stay allocation-free. *)
-let covers t r = last t r - first t r + 1
-
 let cover t r =
   let first = first t r and last = last t r in
   List.init (last - first + 1) (fun k ->
       let i = first + k in
       (i, clamp t i r))
-
-let pp ppf t =
-  Format.fprintf ppf "router(shards=%d, width=%d, space=%d)" t.shards t.width
-    t.space

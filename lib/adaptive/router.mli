@@ -4,7 +4,8 @@
 
     Two ranges overlap iff their covers share a shard whose clamped
     sub-ranges overlap (any common point lies in exactly one span), which
-    is what lets {!Shard_rw} detect every conflict on a per-shard basis. *)
+    is what lets the adaptive frontend's sharded regime ({!Adaptive_rw})
+    detect every conflict on a per-shard basis. *)
 
 type t
 
@@ -13,8 +14,6 @@ val create : shards:int -> space:int -> t
     [space] route to the last shard. *)
 
 val shards : t -> int
-
-val space : t -> int
 
 val width : t -> int
 (** Units per shard span ([space / shards]). *)
@@ -32,10 +31,6 @@ val first : t -> Rlk.Range.t -> int
 val last : t -> Rlk.Range.t -> int
 (** Index of the last shard covering the range. *)
 
-val covers : t -> Rlk.Range.t -> int
-(** Number of shards covering the range ([last - first + 1]) — the
-    adaptive frontend's narrow/wide classifier, allocation-free. *)
-
 val clamp : t -> int -> Rlk.Range.t -> Rlk.Range.t
 (** Intersection of the range with a covering shard's span; raises
     [Invalid_argument] if the shard is not in the range's cover. *)
@@ -44,5 +39,3 @@ val cover : t -> Rlk.Range.t -> (int * Rlk.Range.t) list
 (** Shards covering the range, in strictly ascending index order, each with
     the sub-range clamped to its span. The sub-ranges are non-empty,
     mutually adjacent, and their union is exactly the input range. *)
-
-val pp : Format.formatter -> t -> unit

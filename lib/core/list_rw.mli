@@ -82,11 +82,11 @@ val drain_conflicts :
   t -> reader:bool -> blocking:bool -> deadline_ns:int -> Range.t -> bool
 (** Wait (or, non-blocking, test) until no live node conflicts with [r] in
     the given mode, {e without} inserting a node. Building block for the
-    sharded frontend's wide path ({!Rlk_shard}): only sound when the
-    caller has first made itself visible to future acquirers of this list
-    (otherwise a later insertion can race past a completed drain). Returns
-    [false] if non-blocking or past [deadline_ns] while a conflicting
-    holder is still live. *)
+    adaptive frontend's global-list path ({!Rlk_adaptive}): only sound
+    when the caller has first made itself visible to future acquirers of
+    this list (otherwise a later insertion can race past a completed
+    drain). Returns [false] if non-blocking or past [deadline_ns] while a
+    conflicting holder is still live. *)
 
 val holders : t -> (Range.t * [ `Reader | `Writer ]) list
 (** Unmarked list contents in order — tests/diagnostics on a quiesced

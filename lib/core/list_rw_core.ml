@@ -606,23 +606,23 @@ struct
 
   let reset_metrics t = Metrics.reset t.metrics
 
-  (* Non-inserting conflict drain, the primitive behind the sharded
-     frontend's wide path (lib/shard): wait until no live node in this list
-     conflicts with [r] in the given mode, without ever linking a node of
-     our own. The caller has already made itself visible to future
-     acquirers (via the shard revocation counters), so a clean pass here
-     means every conflicting holder that could precede us has released.
-     Waits terminate: an unmarked conflicting node either completes and is
-     marked by release, or observes the caller's revocation counter and
-     marks itself to retreat. Returns [false] when non-blocking (or past
-     the deadline) with a conflict still live. *)
+  (* Non-inserting conflict drain, the primitive behind the adaptive
+     frontend's global-list path (lib/adaptive): wait until no live node in
+     this list conflicts with [r] in the given mode, without ever linking a
+     node of our own. The caller has already made itself visible to future
+     acquirers (its node in the global list, which every narrow acquirer
+     checks after linking), so a clean pass here means every conflicting
+     holder that could precede us has released. Waits terminate: an
+     unmarked conflicting node either completes and is marked by release,
+     or finds the caller's node in its check and retreats. Returns [false]
+     when non-blocking (or past the deadline) with a conflict still live. *)
   let rec drain_conflicts t ~reader ~blocking ~deadline_ns r =
     let l0 = Sim.A.get t.head in
     if (not l0.N.marked) && l0.N.succ == N.nil_node then
       (* Empty list: no holder to wait for, and the seq-cst head load
-         orders after the caller's counter raise, so any narrow acquirer
-         that links a node later must observe the raised counter and
-         retreat. Skipping the walk here keeps wide acquisitions
+         orders after the caller's global-list insert, so any narrow
+         acquirer that links a node later must find that node in its
+         check and retreat. Skipping the walk here keeps wide acquisitions
          over idle shards at one atomic load per shard. *)
       true
     else drain_conflicts_slow t ~reader ~blocking ~deadline_ns r
@@ -719,7 +719,7 @@ struct
 
   (* The head is the hottest word of the lock: isolate it so concurrent
      acquisitions on *other* locks (e.g. neighbouring shards of
-     Rlk_shard) never invalidate its cache line. *)
+     Rlk_adaptive) never invalidate its cache line. *)
   let create () = Sim.A.make_contended N.nil
 
   let head t = t

@@ -597,13 +597,15 @@ let adaptive_switch_race =
    narrow nodes, so exclusion over [1,4) rests on the shard insertions
    themselves: either the writer's [g]-check finds the reader's node and
    the writer retreats to [g], or the reader's drain walks into the
-   writer's shard nodes and waits them out. *)
-let adaptive_narrow_drain =
-  scenario "adaptive-narrow-drain" ~bound:3 ~max_steps:120_000 (fun () ->
+   writer's shard nodes and waits them out. The [+fast] instance turns on
+   the backends' empty-list fast path (shard-rw's configuration), whose
+   eager head removal wakes the drainers parked on the released node. *)
+let adaptive_narrow_drain_on ~fast_path name =
+  scenario name ~bound:3 ~max_steps:120_000 (fun () ->
       let module S = Adaptive_stack () in
       let lock =
         S.AD.create ~shards:3 ~space:6 ~narrow_max:2 ~sample_every:0
-          ~rbias:false ()
+          ~rbias:false ~fast_path ()
       in
       let r = recorder () in
       let writer () =
@@ -624,17 +626,26 @@ let adaptive_narrow_drain =
       in
       { Explore.fibers = [| writer; reader |]; check = oracle_check r })
 
+let adaptive_narrow_drain =
+  adaptive_narrow_drain_on ~fast_path:false "adaptive-narrow-drain"
+
+let adaptive_narrow_drain_fast =
+  adaptive_narrow_drain_on ~fast_path:true "adaptive-narrow-drain+fast"
+
 (* Two writers on disjoint ranges of one shard, with reader bias off so
    every grant goes through the shard list. [0,1) acquires and releases
    twice, [2,3) once, each through the list's blocking acquire, racing the
    other's insert and release. A blocking acquire must wait only on a node
    it actually conflicts with: a writer parked where no overlapping
-   release will come is a deadlock the explorer reports. *)
-let adaptive_disjoint_park =
-  scenario "adaptive-disjoint-park" ~bound:4 ~max_steps:120_000 (fun () ->
+   release will come is a deadlock the explorer reports. The [+fast]
+   instance runs it over the backends' empty-list fast path, as
+   shard-rw does. *)
+let adaptive_disjoint_park_on ~fast_path name =
+  scenario name ~bound:4 ~max_steps:120_000 (fun () ->
       let module S = Adaptive_stack () in
       let lock =
-        S.AD.create ~shards:1 ~space:4 ~sample_every:0 ~rbias:false ()
+        S.AD.create ~shards:1 ~space:4 ~sample_every:0 ~rbias:false
+          ~fast_path ()
       in
       let r = recorder () in
       let writer lo hi rounds () =
@@ -647,6 +658,12 @@ let adaptive_disjoint_park =
       in
       { Explore.fibers = [| writer 0 1 2; writer 2 3 1 |];
         check = oracle_check r })
+
+let adaptive_disjoint_park =
+  adaptive_disjoint_park_on ~fast_path:false "adaptive-disjoint-park"
+
+let adaptive_disjoint_park_fast =
+  adaptive_disjoint_park_on ~fast_path:true "adaptive-disjoint-park+fast"
 
 (* The reader-bias Dekker pair: a narrow writer [0,2) against a wide
    reader [1,4) eligible for the biased fast path. On the schedules
@@ -723,7 +740,8 @@ let all =
     rw_writer_pref; rw_fastpath; rw_relink; fairgate_escalate; rwlock_basic;
     park_unpark; skip_validate_race; skip_park; skip_mixed_height;
     skip_tower_race;
-    adaptive_switch_race; adaptive_narrow_drain; adaptive_disjoint_park;
+    adaptive_switch_race; adaptive_narrow_drain; adaptive_narrow_drain_fast;
+    adaptive_disjoint_park; adaptive_disjoint_park_fast;
     adaptive_reader_bias; adaptive_rbias_alias ]
 
 let run t =

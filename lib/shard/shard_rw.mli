@@ -1,115 +1,58 @@
-(** Sharded reader-writer range lock: a {!Router}-partitioned array of
-    independent {!Rlk.List_rw} locks behind a single {!Rlk.Intf.RW}
-    surface (see doc/perf.md for the full design).
+(** Sharded reader-writer range lock: {!Rlk_adaptive.Adaptive_rw} pinned
+    to its sharded regime, with the backends' empty-list fast path on and
+    no reader bias (see doc/perf.md, "Sharded frontend").
 
-    Acquisitions whose cover fits in at most [wide_span] shards lock those
-    shards in ascending index order with the clamped sub-ranges —
-    single-shard operations touch exactly one list and no shared state.
-    Wider acquisitions go through a dedicated wide list plus per-shard
-    revocation counters: they never insert into the shard lists, instead
-    draining pre-existing conflicting holders, while concurrent narrow
-    acquisitions that observe a raised counter retreat from every shard
-    they claimed and re-enter via the wide list. All paths respect the
-    global order wide-list < shard 0 < shard 1 < ..., so the composition
-    is deadlock-free; try/timed failures release everything acquired so
-    far (all-or-nothing). *)
+    Acquisitions whose cover fits in at most [max 1 (shards / 4)] shards
+    lock those shards in ascending order with the clamped sub-ranges;
+    wider ones go through a global list and wait out conflicting holders
+    in the covered shards. Try acquisitions are all-or-nothing, and timed
+    ones go through the global list, so a timeout leaves no residue. *)
 
 type t
 
 type handle
 
+val name : string
+(** ["shard-rw"]. *)
+
 val create :
-  ?stats:Rlk_primitives.Lockstat.t ->
-  ?shards:int ->
-  ?space:int ->
-  ?wide_span:int ->
-  ?fast_path:bool ->
-  ?park:bool ->
-  unit ->
-  t
-(** [shards] (default 8) independent lists over a universe of [space]
-    (default [65536]) units; points past [space] route to the last shard,
-    so the tuning only affects balance, never correctness. [wide_span]
-    (default [max 1 (shards / 4)], clamped to [>= 1]) is the largest cover
-    still taken shard-by-shard. [fast_path] and [park] are forwarded to
-    every underlying list. *)
-
-val router : t -> Router.t
-
-val shard_count : t -> int
-
-val wide_span : t -> int
+  ?stats:Rlk_primitives.Lockstat.t -> ?shards:int -> ?space:int -> unit -> t
+(** [shards] (default 8) lists over a universe of [space] (default
+    [65536]) units; points past [space] route to the last shard, so the
+    geometry only affects balance, never correctness. *)
 
 val read_acquire : t -> Rlk.Range.t -> handle
 
 val write_acquire : t -> Rlk.Range.t -> handle
 
-val acquire : t -> mode:Rlk_primitives.Lockstat.mode -> Rlk.Range.t -> handle
-
 val try_read_acquire : t -> Rlk.Range.t -> handle option
-(** One bounded attempt across the cover; on any sub-lock refusal every
-    shard acquired so far is released and [None] is returned. *)
 
 val try_write_acquire : t -> Rlk.Range.t -> handle option
 
-val try_acquire :
-  t -> mode:Rlk_primitives.Lockstat.mode -> Rlk.Range.t -> handle option
-
-val acquire_opt :
-  t ->
-  mode:Rlk_primitives.Lockstat.mode ->
-  deadline_ns:int ->
-  Rlk.Range.t ->
-  handle option
-(** Deadline-bounded ([deadline_ns] absolute on the
-    {!Rlk_primitives.Clock.now_ns} timeline, [max_int] = forever); the
-    deadline bounds the whole multi-shard acquisition, and a timeout in
-    any stage unwinds all previously acquired shards. *)
-
 val read_acquire_opt : t -> deadline_ns:int -> Rlk.Range.t -> handle option
+(** [deadline_ns] is absolute on the {!Rlk_primitives.Clock.now_ns}
+    timeline, [max_int] = forever. *)
 
 val write_acquire_opt : t -> deadline_ns:int -> Rlk.Range.t -> handle option
 
 val release : t -> handle -> unit
 
-val with_read : t -> Rlk.Range.t -> (unit -> 'a) -> 'a
-
-val with_write : t -> Rlk.Range.t -> (unit -> 'a) -> 'a
-
-val range_of_handle : handle -> Rlk.Range.t
-
-val is_reader : handle -> bool
-
-(** {2 Observability} *)
-
 type snapshot = {
   acquisitions : int;
   single_shard : int;  (** narrow grants covering exactly one shard *)
-  multi_shard : int;   (** narrow grants covering 2..[wide_span] shards *)
-  wide_path : int;     (** acquisitions routed through the wide list *)
-  slow_path : int;     (** narrow acquisitions diverted by a wide holder *)
-  retreats : int;      (** all-or-nothing unwinds of partial covers *)
-  timeouts : int;      (** timed acquisitions that hit their deadline *)
-  shard_loads : int array;  (** narrow grants per shard (balance) *)
-  sub : Rlk.Metrics.snapshot;  (** summed over all shard lists + wide *)
+  multi_shard : int;  (** narrow grants covering several shards *)
+  wide_path : int;  (** grants routed straight to the global list *)
+  slow_path : int;  (** narrow acquisitions diverted by a wide holder *)
+  timeouts : int;  (** timed acquisitions that hit their deadline *)
+  switches : int;  (** regime switches; 0 while the pin holds *)
+  regime : Rlk_adaptive.Adaptive_rw.regime;
+  shards : int;
 }
 
 val snapshot : t -> snapshot
 
-val reset_metrics : t -> unit
-
-val pp_snapshot : Format.formatter -> snapshot -> unit
-
 val to_json : snapshot -> string
 
-val holders : t -> (int * (Rlk.Range.t * [ `Reader | `Writer ])) list
-(** Per-shard list contents on a quiesced lock (tests/diagnostics). *)
-
-val wide_holders : t -> (Rlk.Range.t * [ `Reader | `Writer ]) list
-
-val name : string
-(** ["shard-rw"]. *)
-
-val impl : shards:int -> space:int -> ?wide_span:int -> unit -> Rlk.Intf.rw_impl
+val impl : shards:int -> space:int -> unit -> Rlk.Intf.rw_impl
 (** Package a fixed geometry against the common RW signature (benchmarks,
     conformance battery). *)

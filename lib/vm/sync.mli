@@ -30,9 +30,10 @@ type variant =
           [mmap]'s free-region scan runs under a read acquisition, and
           {!brk} uses the same speculative protocol as mprotect. *)
   | Shard_refined
-      (** [list-refined] over the sharded frontend ({!Rlk_shard.Shard_rw}):
-          refined page faults and mprotects hit a single shard; full-range
-          structural operations go through its wide path. *)
+      (** [list-refined] over the sharded frontend ({!Rlk_shard.Shard_rw},
+          adaptive-rw pinned to its sharded regime): refined page faults
+          and mprotects hit a single shard; full-range structural
+          operations go through its global list. *)
 
 val variant_name : variant -> string
 

@@ -547,6 +547,19 @@ let test_churn_audit () =
                | Some h -> held := h :: !held
                | None -> ()
            done;
+           (* Heights are drawn at random, so the churn may end with only
+              height-1 holders. Make the audit meet a tower: keep taking
+              fresh ranges in a slice no other domain touches until a
+              towered node is held (each try misses with p = 1/4). *)
+           let towered (h : P.N.t) = Array.length h.P.N.tower > 0 in
+           let k = ref 0 in
+           while (not (List.exists towered !held)) && !k < 64 do
+             (* Blocking: a try also fails on a restart or a lost CAS
+                against the other domain's churn. *)
+             let lo = 100 + (100 * id) + !k in
+             held := P.write_acquire t (range lo (lo + 1)) :: !held;
+             incr k
+           done;
            !held))
     |> Array.to_list |> List.concat
   in

@@ -1,5 +1,5 @@
 module Range = Rlk.Range
-module Router = Rlk_shard.Router
+module Router = Rlk_adaptive.Router
 module Shard_rw = Rlk_shard.Shard_rw
 module Clock = Rlk_primitives.Clock
 
@@ -114,8 +114,8 @@ let test_boundary_at_space () =
 
 (* ---------------- Single-geometry fixture ---------------- *)
 
-(* 8 shards of width 32 over [0, 256): the benchmark geometry. wide_span
-   defaults to 2, so covers of 1-2 shards are narrow and 3+ go wide. *)
+(* 8 shards of width 32 over [0, 256): the benchmark geometry. Covers of
+   1-2 shards ([shards / 4]) are narrow and 3+ go wide. *)
 let mk () = Shard_rw.create ~shards:8 ~space:256 ()
 
 let test_boundary_precision () =
@@ -149,9 +149,7 @@ let test_try_all_or_nothing () =
   (match Shard_rw.try_write_acquire t (range 20 32) with
    | Some g -> Shard_rw.release t g
    | None -> Alcotest.fail "shard 0 must not be left locked by the retreat");
-  Shard_rw.release t h;
-  let snap = Shard_rw.snapshot t in
-  Alcotest.(check bool) "retreat counted" true (snap.Shard_rw.retreats >= 1)
+  Shard_rw.release t h
 
 let test_wide_exclusion () =
   let t = mk () in
@@ -170,7 +168,16 @@ let test_wide_exclusion () =
    | None -> Alcotest.fail "narrow reader must share with a wide reader");
   Alcotest.(check bool) "narrow writer excluded by wide reader" true
     (Shard_rw.try_write_acquire t (range 0 4) = None);
-  Shard_rw.release t h2
+  Shard_rw.release t h2;
+  (* Wide traffic never moves the facade out of its sharded regime: the
+     width sampler is off. *)
+  for _ = 1 to 1_000 do
+    Shard_rw.release t (Shard_rw.write_acquire t (range 0 256))
+  done;
+  let snap = Shard_rw.snapshot t in
+  Alcotest.(check bool) "still sharded" true
+    (snap.Shard_rw.regime = Rlk_adaptive.Adaptive_rw.Sharded);
+  Alcotest.(check int) "no regime switch" 0 snap.Shard_rw.switches
 
 let test_timed_unwind () =
   let t = mk () in
@@ -196,37 +203,36 @@ let test_path_accounting () =
   Alcotest.(check int) "single" 1 snap.Shard_rw.single_shard;
   Alcotest.(check int) "multi" 1 snap.Shard_rw.multi_shard;
   Alcotest.(check int) "wide" 1 snap.Shard_rw.wide_path;
-  Alcotest.(check int) "total" 3 snap.Shard_rw.acquisitions;
-  Alcotest.(check int) "shard 0 loads both narrow grants" 2
-    snap.Shard_rw.shard_loads.(0)
+  Alcotest.(check int) "total" 3 snap.Shard_rw.acquisitions
 
-(* A single-shard pair allocates its list node and nothing else: the
-   handle comes from the per-domain handle pool. *)
-let test_single_shard_allocation_free () =
-  let w_node =
-    let r = range 3 10 in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 10_000 do
-      ignore (Sys.opaque_identity (Rlk.Node.alloc ~reader:true r))
-    done;
-    (Gc.minor_words () -. w0) /. 10_000.
-  in
+(* Minor words per acquire+release pair after a warm-up. *)
+let pair_words pair =
+  for _ = 1 to 1_000 do pair () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do pair () done;
+  (Gc.minor_words () -. w0) /. 10_000.
+
+(* A single-shard pair on an idle shard (OCaml 5.1, no flambda), so the
+   backend grants through its empty-list fast path, which allocates
+   nothing but the 19-word node. Read and write pairs both allocate 25
+   words: the node, the 4-word handle and the 2-word [Single] grant. The
+   bounds are the exact figures, so a new allocation anywhere on the
+   facade's narrow path fails them. *)
+let test_single_shard_allocation () =
   let t = mk () in
   let r = range 3 10 in
-  (* Warm the per-domain handle pool. *)
-  for _ = 1 to 1_000 do
-    Shard_rw.release t (Shard_rw.read_acquire t r)
-  done;
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    Shard_rw.release t (Shard_rw.read_acquire t r)
-  done;
-  let per_op = (Gc.minor_words () -. w0) /. 10_000. in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "single-shard pair allocates only its node, %.2f words/op (got %.2f)"
-       w_node per_op)
-    true (per_op <= w_node +. 0.5)
+  let check what ~bound words =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s pair allocates <= %.0f words (got %.2f)" what bound
+         words)
+      true (words <= bound)
+  in
+  check "read" ~bound:25.
+    (pair_words (fun () -> Shard_rw.release t (Shard_rw.read_acquire t r)));
+  check "write" ~bound:25.
+    (pair_words (fun () -> Shard_rw.release t (Shard_rw.write_acquire t r)));
+  Alcotest.(check int) "every pair took one shard" 22_000
+    (Shard_rw.snapshot t).Shard_rw.single_shard
 
 let test_multi_domain_exclusion () =
   (* The ArrBench occupancy checker crashes (sets [violated]) on any
@@ -265,7 +271,7 @@ let () =
           Alcotest.test_case "wide path exclusion" `Quick test_wide_exclusion;
           Alcotest.test_case "timed unwind" `Quick test_timed_unwind;
           Alcotest.test_case "path accounting" `Quick test_path_accounting;
-          Alcotest.test_case "single-shard pair is allocation-free" `Quick
-            test_single_shard_allocation_free;
+          Alcotest.test_case "single-shard pair words" `Quick
+            test_single_shard_allocation;
           Alcotest.test_case "multi-domain exclusion" `Quick
             test_multi_domain_exclusion ] ) ]
