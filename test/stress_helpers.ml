@@ -43,6 +43,14 @@ let spawn_n n f = Array.init n (fun i -> Domain.spawn (fun () -> f i))
 
 let join_all ds = Array.iter Domain.join ds
 
+(* Minor words per acquire+release pair after a warm-up (the allocation
+   bounds in test_adaptive and test_shard). *)
+let pair_words pair =
+  for _ = 1 to 1_000 do pair () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do pair () done;
+  (Gc.minor_words () -. w0) /. 10_000.
+
 let random_range rng ~slots =
   let open Rlk_primitives in
   let a = Prng.below rng slots and b = Prng.below rng slots in

@@ -114,13 +114,6 @@ let test_combine_rejected () =
 
 (* ---- allocation on the narrow path ---- *)
 
-(* Minor words per acquire+release pair after a warm-up. *)
-let pair_words pair =
-  for _ = 1 to 1_000 do pair () done;
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 10_000 do pair () done;
-  (Gc.minor_words () -. w0) /. 10_000.
-
 (* A single-shard pair behind one resident holder, bias off so both
    modes take the shard list (OCaml 5.1, no flambda). A read pair
    allocates 71 words: the backend's 19-word node and the 46 words of
@@ -142,9 +135,11 @@ let test_narrow_allocation () =
       true (words <= bound)
   in
   check "read" ~bound:71.
-    (pair_words (fun () -> A.release t (A.read_acquire t r)));
+    (Stress_helpers.pair_words (fun () ->
+         A.release t (A.read_acquire t r)));
   check "write" ~bound:72.
-    (pair_words (fun () -> A.release t (A.write_acquire t r)));
+    (Stress_helpers.pair_words (fun () ->
+         A.release t (A.write_acquire t r)));
   Alcotest.(check int) "the resident and every pair took one shard" 22_001
     (A.snapshot t).A.s_narrow;
   A.release t resident

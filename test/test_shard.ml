@@ -205,13 +205,6 @@ let test_path_accounting () =
   Alcotest.(check int) "wide" 1 snap.Shard_rw.wide_path;
   Alcotest.(check int) "total" 3 snap.Shard_rw.acquisitions
 
-(* Minor words per acquire+release pair after a warm-up. *)
-let pair_words pair =
-  for _ = 1 to 1_000 do pair () done;
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 10_000 do pair () done;
-  (Gc.minor_words () -. w0) /. 10_000.
-
 (* A single-shard pair on an idle shard (OCaml 5.1, no flambda), so the
    backend grants through its empty-list fast path, which allocates
    nothing but the 19-word node. Read and write pairs both allocate 25
@@ -228,9 +221,11 @@ let test_single_shard_allocation () =
       true (words <= bound)
   in
   check "read" ~bound:25.
-    (pair_words (fun () -> Shard_rw.release t (Shard_rw.read_acquire t r)));
+    (Stress_helpers.pair_words (fun () ->
+         Shard_rw.release t (Shard_rw.read_acquire t r)));
   check "write" ~bound:25.
-    (pair_words (fun () -> Shard_rw.release t (Shard_rw.write_acquire t r)));
+    (Stress_helpers.pair_words (fun () ->
+         Shard_rw.release t (Shard_rw.write_acquire t r)));
   Alcotest.(check int) "every pair took one shard" 22_000
     (Shard_rw.snapshot t).Shard_rw.single_shard
 
