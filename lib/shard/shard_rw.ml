@@ -11,7 +11,10 @@ module A = Rlk_adaptive.Adaptive_rw
 
    - [~sample_every:0]: no width sampling, so the regime never leaves
      [Sharded];
-   - [~fast_path:true]: the backends' empty-list fast path;
+   - [~fast_path:true]: the backends' empty-list fast path. Measured
+     against [~fast_path:false] on this lock's own traffic (doc/perf.md,
+     "Measured results"): without it the disjoint ArrBench cells read
+     4-13% lower and range-shard 5-7% lower;
    - [~rbias:false]: no biased reader slots. *)
 
 type t = A.t

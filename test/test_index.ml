@@ -550,7 +550,8 @@ let test_churn_audit () =
            (* Heights are drawn at random, so the churn may end with only
               height-1 holders. Make the audit meet a tower: keep taking
               fresh ranges in a slice no other domain touches until a
-              towered node is held (each try misses with p = 1/4). *)
+              towered node is held (each grant is untowered with p = 1/4:
+              height 1 of max_level 4). *)
            let towered (h : P.N.t) = Array.length h.P.N.tower > 0 in
            let k = ref 0 in
            while (not (List.exists towered !held)) && !k < 64 do
