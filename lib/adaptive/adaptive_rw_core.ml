@@ -440,6 +440,12 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
 
   let w_down t = ignore (Sim.A.fetch_and_add t.w_live (-1))
 
+  (* Raise the slot high-water mark past slot [me]. *)
+  let rec rbias_hiwat t me =
+    let h = Sim.A.get t.rhiwat in
+    if me >= h && not (Sim.A.compare_and_set t.rhiwat h (me + 1)) then
+      rbias_hiwat t me
+
   (* The reader's half of the Dekker pair: publish the slot, then test
      [w_live]. On 0 the read is granted outright — any writer that could
      conflict will raise [w_live] before sweeping and therefore find the
@@ -469,12 +475,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       s.b_lo <- Range.lo r;
       s.b_hi <- Range.hi r;
       Sim.A.set s.rseq (v + 2);
-      let rec hiwat () =
-        let h = Sim.A.get t.rhiwat in
-        if me >= h && not (Sim.A.compare_and_set t.rhiwat h (me + 1)) then
-          hiwat ()
-      in
-      hiwat ();
+      rbias_hiwat t me;
       if Sim.A.get t.w_live = 0 then begin
         d.c_fastr <- d.c_fastr + 1;
         d.r_back <- rcool_base;
@@ -502,6 +503,14 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
      read the slot before the publish) and retract. The
      [adaptive.rbias.skip] chaos point disables exactly this sweep (the
      model checker's mutation self-test for the bias handshake). *)
+  let rec slot_clear s ~lo ~hi =
+    let v = Sim.A.get s.rseq in
+    v land 3 <> 2
+    ||
+    let slo = s.b_lo and shi = s.b_hi in
+    if Sim.A.get s.rseq <> v then slot_clear s ~lo ~hi
+    else slo >= hi || lo >= shi
+
   let rbias_clear t ~lo ~hi =
     (if Atomic.get Fault.enabled then Fault.skip fp_rbias_skip else false)
     ||
@@ -509,16 +518,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     let ok = ref true in
     let i = ref 0 in
     while !ok && !i < n do
-      let s = t.rslots.(!i) in
-      let rec slot_clear () =
-        let v = Sim.A.get s.rseq in
-        v land 3 <> 2
-        ||
-        let slo = s.b_lo and shi = s.b_hi in
-        if Sim.A.get s.rseq <> v then slot_clear ()
-        else slo >= hi || lo >= shi
-      in
-      if not (slot_clear ()) then ok := false;
+      if not (slot_clear t.rslots.(!i) ~lo ~hi) then ok := false;
       incr i
     done;
     !ok

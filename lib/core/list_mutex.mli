@@ -76,3 +76,6 @@ val holders : t -> Range.t list
 
 val name : string
 (** ["list-ex"] — the label used in the paper's plots. *)
+
+val generated : bool
+(** As {!List_rw.generated}. *)

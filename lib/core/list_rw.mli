@@ -94,3 +94,8 @@ val holders : t -> (Range.t * [ `Reader | `Writer ]) list
 
 val name : string
 (** ["list-rw"]. *)
+
+val generated : bool
+(** [true] when this module runs the core generated against the real
+    atomics (lib/core/dune) rather than the source functor — a build
+    guard, checked in test_core. *)

@@ -32,6 +32,12 @@ module Waitboard = Rlk_chaos.Waitboard
    test_chaos and the park-unpark model scenario. *)
 let fp_wake_skip = Fault.point "parker.wake.skip"
 
+(* [true] only in [List_rw_core_real]: its build rule (lib/core/dune)
+   rewrites this line. Every instance re-exports it as [generated], so a
+   test can check that production runs the generated core, not this text
+   applied as a functor. *)
+let generated_core = false
+
 type preference = Prefer_readers | Prefer_writers
 
 (* Where walks start, and the index maintenance around a grant. [cell] is
@@ -84,6 +90,8 @@ struct
   module W = Waitq_core.Make (Sim)
 
   let name = L.name
+
+  let generated = generated_core
 
   (* Chaos injection points (see doc/robustness.md). The [.skip] points
      are deliberately unsound — they disable a validation scan, breaking
@@ -188,6 +196,16 @@ struct
     if Sim.A.get prev == c.N.live_link then
       ignore (Sim.A.compare_and_set prev c.N.live_link (N.unmarked cl))
 
+  (* Poll [pred] with deadline-clamped backoff naps until it holds or the
+     deadline passes. *)
+  let rec poll pred ~deadline_ns b =
+    pred ()
+    || Clock.now_ns () <= deadline_ns
+       && begin
+            Backoff.once ~deadline_ns b;
+            poll pred ~deadline_ns b
+          end
+
   (* Blocking-wait back-end shared by every conflict wait below. Three
      strategies:
      - a finite deadline polls with deadline-clamped {!Backoff} naps
@@ -208,18 +226,7 @@ struct
   let wait_pred t ~wlo ~whi ~deadline_ns pred =
     let t0 = Clock.now_ns () in
     let ok =
-      if deadline_ns <> max_int then begin
-        let b = Backoff.create () in
-        let rec poll () =
-          pred ()
-          || Clock.now_ns () <= deadline_ns
-             && begin
-                  Backoff.once ~deadline_ns b;
-                  poll ()
-                end
-        in
-        poll ()
-      end
+      if deadline_ns <> max_int then poll pred ~deadline_ns (Backoff.create ())
       else begin
         if t.park then begin
           if W.wait t.waitq ~lo:wlo ~hi:whi pred then Metrics.park t.metrics
@@ -260,158 +267,182 @@ struct
      node until ranges start at or past our end. With the paper's default
      reader preference we wait out overlapping writers; with the reversed
      scheme (Section 4.2's last remark) the reader defers — it deletes
-     itself and fails validation, and the writer waits instead. *)
+     itself and fails validation, and the writer waits instead. The scans
+     and the insert walk below are top-level recursions over explicit
+     arguments, not local closures, so an acquisition allocates nothing
+     beyond its node and failure counter. *)
+  let rec r_scan t node ~blocking ~deadline_ns prev c =
+    (* [N.nil_node] starts at [max_int], so the [lo] bound ends the scan at
+       the end of the list too. *)
+    if c.N.lo >= node.N.hi then ()
+    else
+      let cl = Sim.A.get c.N.next in
+      if cl.N.marked then begin
+        try_unlink prev c cl;
+        r_scan t node ~blocking ~deadline_ns prev cl.N.succ
+      end
+      else if c.N.reader then
+        r_scan t node ~blocking ~deadline_ns c.N.next cl.N.succ
+      else if blocking && t.prefer = Prefer_readers then begin
+        (* Overlapping writer: it entered before us, defer to it. *)
+        wait_until_marked t ~node c ~blocking ~deadline_ns;
+        r_scan t node ~blocking ~deadline_ns prev c
+      end
+      else begin
+        (* Writer-preferred or non-blocking: leave the list and retry. *)
+        if t.prefer = Prefer_writers then
+          Metrics.validation_failure t.metrics;
+        mark_deleted node;
+        wake_released t node;
+        raise Validation_failed
+      end
+
   let r_validate t node ~blocking ~deadline_ns =
     if Atomic.get Fault.enabled && Fault.skip fp_r_validate_skip then ()
     else
-      (* [N.nil_node] starts at [max_int], so the [lo] bound ends the
-         scan at the end of the list too. *)
-      let rec go prev c =
-        if c.N.lo >= node.N.hi then ()
-        else
-          let cl = Sim.A.get c.N.next in
-          if cl.N.marked then begin
-            try_unlink prev c cl;
-            go prev cl.N.succ
-          end
-          else if c.N.reader then go c.N.next cl.N.succ
-          else if blocking && t.prefer = Prefer_readers then begin
-            (* Overlapping writer: it entered before us, defer to it. *)
-            wait_until_marked t ~node c ~blocking ~deadline_ns;
-            go prev c
-          end
-          else begin
-            (* Writer-preferred or non-blocking: leave the list and
-               retry. *)
-            if t.prefer = Prefer_writers then
-              Metrics.validation_failure t.metrics;
-            mark_deleted node;
-            wake_released t node;
-            raise Validation_failed
-          end
-      in
       let l = Sim.A.get node.N.next in
-      go node.N.next l.N.succ
+      r_scan t node ~blocking ~deadline_ns node.N.next l.N.succ
 
   (* Writer validation (Listing 3, [w_validate]): rescan from the
      locator's start cell (the head, for the plain list) until we meet our
      own node. Under reader preference, meeting an overlapping
      (necessarily reader) node first means we delete ourselves and fail;
      under writer preference, we wait for that reader to leave instead. *)
+  let rec w_scan t node ~blocking ~deadline_ns prev c =
+    if c == node then ()
+    else if c == N.nil_node then
+      (* Our node is marked only by us; it must be reachable. *)
+      assert false
+    else
+      let cl = Sim.A.get c.N.next in
+      if cl.N.marked then begin
+        try_unlink prev c cl;
+        w_scan t node ~blocking ~deadline_ns prev cl.N.succ
+      end
+      else if c.N.hi <= node.N.lo then
+        w_scan t node ~blocking ~deadline_ns c.N.next cl.N.succ
+      else if blocking && t.prefer = Prefer_writers then begin
+        (* Overlapping reader: under writer preference the reader will
+           self-abort (or finish); wait until its node is marked. *)
+        wait_until_marked t ~node c ~blocking ~deadline_ns;
+        w_scan t node ~blocking ~deadline_ns prev c
+      end
+      else begin
+        Metrics.validation_failure t.metrics;
+        mark_deleted node;
+        wake_released t node;
+        raise Validation_failed
+      end
+
   let w_validate t node ~blocking ~deadline_ns =
     if Atomic.get Fault.enabled && Fault.skip fp_w_validate_skip then ()
     else
-      let rec go prev c =
-        if c == node then ()
-        else if c == N.nil_node then
-          (* Our node is marked only by us; it must be reachable. *)
-          assert false
-        else
-          let cl = Sim.A.get c.N.next in
-          if cl.N.marked then begin
-            try_unlink prev c cl;
-            go prev cl.N.succ
-          end
-          else if c.N.hi <= node.N.lo then go c.N.next cl.N.succ
-          else if blocking && t.prefer = Prefer_writers then begin
-            (* Overlapping reader: under writer preference the reader
-               will self-abort (or finish); wait until its node is
-               marked. *)
-            wait_until_marked t ~node c ~blocking ~deadline_ns;
-            go prev c
-          end
-          else begin
-            Metrics.validation_failure t.metrics;
-            mark_deleted node;
-            wake_released t node;
-            raise Validation_failed
-          end
-      in
       let start = L.start t.index node in
-      go start (Sim.A.get start).N.succ
+      w_scan t node ~blocking ~deadline_ns start (Sim.A.get start).N.succ
 
-  (* One insertion-plus-validation attempt. A deadline expiring after the
-     insertion CAS surfaces as [Timed_out_linked], so a timed-out caller
-     knows whether to mark-and-retreat (linked) or just drop its node
-     (not). *)
-  let try_insert t session node failures ~blocking ~deadline_ns =
-    let fail_event () =
-      incr failures;
-      if G.failures_exceeded session ~failures:!failures then
-        raise Out_of_budget;
-      if not blocking then raise Would_block
-    in
-    let rec traverse prev =
-      let l = Sim.A.get prev in
-      if l.N.marked then
-        if prev == t.head then begin
-          ignore
-            (Sim.A.compare_and_set t.head l (N.unmarked l));
-          traverse prev
-        end
-        else begin
-          Metrics.restart t.metrics;
-          fail_event ();
-          traverse (L.start t.index node)
-        end
-      else
-        let cur = l.N.succ in
-        if cur == N.nil_node then insert_here prev l
-        else
-          let curl = Sim.A.get cur.N.next in
-          if curl.N.marked then begin
-            ignore (Sim.A.compare_and_set prev l (N.unmarked curl));
-            traverse prev
-          end
-          else begin
-            match compare_nodes ~cur ~node with
-            | Node_precedes -> insert_here prev l
-            | Cur_precedes -> traverse cur.N.next
-            | Conflict ->
-              (* Unsound skip: walk past the conflicting holder as if
-                 compatible. The validation scan would normally repair
-                 this, so a detectable violation needs the matching
-                 validation skip armed too — except in a writers-only
-                 lock, which has no scan. *)
-              if Atomic.get Fault.enabled && Fault.skip fp_conflict_wait_skip
-              then traverse cur.N.next
-              else begin
-                (* Each conflict wait counts against the fairness budget:
-                   our node is not yet linked, so every wait is a window
-                   for later arrivals to slip past us. Without this a
-                   continuous reader stream bypasses a waiting writer
-                   indefinitely and the impatient counter never fires
-                   (bounded-bypass property in test_core). *)
-                if blocking then fail_event ();
-                wait_until_marked t ~node cur ~blocking ~deadline_ns;
-                traverse prev
-              end
-          end
-    and insert_here prev expected =
-      (* A stall here widens the window between choosing the insertion
-         point and publishing the node — the exact race the validation
-         scans exist to repair. *)
-      if Atomic.get Fault.enabled then Fault.hit fp_insert_cas;
-      (* [expected] is already the canonical link to our successor. *)
-      Sim.A.set node.N.next expected;
-      if (not (Atomic.get Fault.enabled && Fault.cas_fails fp_insert_cas))
-         && Sim.A.compare_and_set prev expected node.N.live_link
-      then begin
-        match
-          if node.N.reader then r_validate t node ~blocking ~deadline_ns
-          else if L.writers_only then ()
-          else w_validate t node ~blocking ~deadline_ns
-        with
-        | () -> ()
-        | exception Timed_out -> raise Timed_out_linked
+  (* One failed step of an insert attempt, counted against the fairness
+     budget. *)
+  let fail_event session failures ~blocking =
+    incr failures;
+    if G.failures_exceeded session ~failures:!failures then
+      raise Out_of_budget;
+    if not blocking then raise Would_block
+
+  (* Link [node] into the cell [prev], whose link [expected] (already the
+     canonical link to our successor) was read, then validate. [false]
+     when the insert CAS failed and the walk must retry from [prev]. *)
+  let insert_here t node ~blocking ~deadline_ns prev expected =
+    (* A stall here widens the window between choosing the insertion
+       point and publishing the node — the exact race the validation
+       scans exist to repair. *)
+    if Atomic.get Fault.enabled then Fault.hit fp_insert_cas;
+    Sim.A.set node.N.next expected;
+    if (not (Atomic.get Fault.enabled && Fault.cas_fails fp_insert_cas))
+       && Sim.A.compare_and_set prev expected node.N.live_link
+    then begin
+      (match
+         if node.N.reader then r_validate t node ~blocking ~deadline_ns
+         else if L.writers_only then ()
+         else w_validate t node ~blocking ~deadline_ns
+       with
+       | () -> ()
+       | exception Timed_out -> raise Timed_out_linked);
+      true
+    end
+    else begin
+      Metrics.cas_failure t.metrics;
+      false
+    end
+
+  (* The insert walk from the cell [prev]; a failed insert CAS retries
+     from the same cell. A deadline expiring after the insertion CAS
+     surfaces as [Timed_out_linked], so a timed-out caller knows whether to
+     mark-and-retreat (linked) or just drop its node (not). *)
+  let rec traverse t session node failures ~blocking ~deadline_ns prev =
+    let l = Sim.A.get prev in
+    if l.N.marked then
+      if prev == t.head then begin
+        ignore (Sim.A.compare_and_set t.head l (N.unmarked l));
+        traverse t session node failures ~blocking ~deadline_ns prev
       end
       else begin
-        Metrics.cas_failure t.metrics;
-        fail_event ();
-        traverse prev
+        Metrics.restart t.metrics;
+        fail_event session failures ~blocking;
+        traverse t session node failures ~blocking ~deadline_ns
+          (L.start t.index node)
       end
-    in
-    traverse (L.start t.index node)
+    else
+      let cur = l.N.succ in
+      if cur == N.nil_node then begin
+        if not (insert_here t node ~blocking ~deadline_ns prev l) then begin
+          fail_event session failures ~blocking;
+          traverse t session node failures ~blocking ~deadline_ns prev
+        end
+      end
+      else
+        let curl = Sim.A.get cur.N.next in
+        if curl.N.marked then begin
+          ignore (Sim.A.compare_and_set prev l (N.unmarked curl));
+          traverse t session node failures ~blocking ~deadline_ns prev
+        end
+        else
+          (* An if-chain, not a [match]: the hop to [cur] is a tail call
+             that needs no spill, and a [match] would hoist the slow
+             arms' spills of every argument onto it. *)
+          let pos = compare_nodes ~cur ~node in
+          if pos == Cur_precedes then
+            traverse t session node failures ~blocking ~deadline_ns cur.N.next
+          else if pos == Node_precedes then begin
+            if not (insert_here t node ~blocking ~deadline_ns prev l) then
+            begin
+              fail_event session failures ~blocking;
+              traverse t session node failures ~blocking ~deadline_ns prev
+            end
+          end
+          (* Conflict. Unsound skip: walk past the conflicting holder as
+             if compatible. The validation scan would normally repair
+             this, so a detectable violation needs the matching
+             validation skip armed too — except in a writers-only lock,
+             which has no scan. *)
+          else if Atomic.get Fault.enabled && Fault.skip fp_conflict_wait_skip
+          then
+            traverse t session node failures ~blocking ~deadline_ns cur.N.next
+          else begin
+            (* Each conflict wait counts against the fairness budget: our
+               node is not yet linked, so every wait is a window for later
+               arrivals to slip past us. Without this a continuous reader
+               stream bypasses a waiting writer indefinitely and the
+               impatient counter never fires (bounded-bypass property in
+               test_core). *)
+            if blocking then fail_event session failures ~blocking;
+            wait_until_marked t ~node cur ~blocking ~deadline_ns;
+            traverse t session node failures ~blocking ~deadline_ns prev
+          end
+
+  (* One insertion-plus-validation attempt. *)
+  let try_insert t session node failures ~blocking ~deadline_ns =
+    traverse t session node failures ~blocking ~deadline_ns
+      (L.start t.index node)
 
   let fast_path_acquire t node =
     t.fast_path
@@ -526,35 +557,34 @@ struct
      drops the node when it never was ([Timed_out]). No fairness
      escalation: the impatient mode's auxiliary lock cannot honour a
      deadline. *)
+  let rec attempt_opt t session ~reader ~deadline_ns r node =
+    if fast_path_acquire t node then begin
+      Metrics.fast_path_hit t.metrics;
+      Some node
+    end
+    else
+      match try_insert t session node (ref 0) ~blocking:true ~deadline_ns with
+      | () -> Some node
+      | exception Validation_failed ->
+        (* Our node is already marked; retry with a fresh one unless the
+           deadline has passed. *)
+        if deadline_ns <> max_int && Clock.now_ns () > deadline_ns then None
+        else attempt_opt t session ~reader ~deadline_ns r (N.alloc ~reader r)
+      | exception Timed_out -> None
+      | exception Timed_out_linked ->
+        mark_deleted node;
+        wake_released t node;
+        None
+
   let acquire_opt t ~mode ~deadline_ns r =
     let reader =
       match mode with Lockstat.Read -> true | Lockstat.Write -> false
     in
     let t0 = match t.stats with None -> 0 | Some _ -> Clock.now_ns () in
     L.before_insert t.index r;
-    let session = G.start None in
-    let rec attempt node =
-      if fast_path_acquire t node then begin
-        Metrics.fast_path_hit t.metrics;
-        Some node
-      end
-      else
-        match
-          try_insert t session node (ref 0) ~blocking:true ~deadline_ns
-        with
-        | () -> Some node
-        | exception Validation_failed ->
-          (* Our node is already marked; retry with a fresh one unless the
-             deadline has passed. *)
-          if deadline_ns <> max_int && Clock.now_ns () > deadline_ns then None
-          else attempt (N.alloc ~reader r)
-        | exception Timed_out -> None
-        | exception Timed_out_linked ->
-          mark_deleted node;
-          wake_released t node;
-          None
+    let result =
+      attempt_opt t (G.start None) ~reader ~deadline_ns r (N.alloc ~reader r)
     in
-    let result = attempt (N.alloc ~reader r) in
     (match result with
      | Some node ->
        Metrics.acquisition t.metrics;
@@ -616,7 +646,66 @@ struct
      unmarked conflicting node either completes and is marked by release,
      or finds the caller's node in its check and retreats. Returns [false]
      when non-blocking (or past the deadline) with a conflict still live. *)
-  let rec drain_conflicts t ~reader ~blocking ~deadline_ns r =
+  let[@inline] conflicts ~reader lo hi (c : N.t) =
+    c.N.lo < hi && lo < c.N.hi && not (reader && c.N.reader)
+
+  (* As in [wait_until_marked], minus the node-specific bookkeeping. *)
+  let drain_wait_marked t ~reader ~deadline_ns lo hi (c : N.t) =
+    Metrics.overlap_wait t.metrics;
+    if Atomic.get Fault.enabled then Fault.hit fp_overlap_wait;
+    Waitboard.wait_begin t.board ~lo ~hi ~write:(not reader);
+    let ok =
+      wait_pred t ~wlo:c.N.lo ~whi:c.N.hi ~deadline_ns (fun () ->
+          (Sim.A.get c.N.next).N.marked)
+    in
+    Waitboard.wait_end t.board;
+    ok
+
+  (* List sorted by lo: nothing past [hi] conflicts, and [N.nil_node]
+     starts at [max_int]. *)
+  let rec drain_walk t ~reader ~blocking ~deadline_ns lo hi c =
+    if c.N.lo >= hi then true
+    else
+      let cl = Sim.A.get c.N.next in
+      if cl.N.marked then
+        drain_walk t ~reader ~blocking ~deadline_ns lo hi cl.N.succ
+      else if not (conflicts ~reader lo hi c) then
+        drain_walk t ~reader ~blocking ~deadline_ns lo hi cl.N.succ
+      else if not blocking then false
+      else if drain_wait_marked t ~reader ~deadline_ns lo hi c then
+        drain_walk t ~reader ~blocking ~deadline_ns lo hi
+          (Sim.A.get c.N.next).N.succ
+      else false
+
+  let rec drain_from_head t ~reader ~blocking ~deadline_ns lo hi =
+    let l = Sim.A.get t.head in
+    let n = l.N.succ in
+    if n == N.nil_node then true
+    else if l.N.marked then begin
+      (* Fast-path holder: an exclusive single-node claim of the whole
+         list. Its release (or demotion by an inserter) replaces the head
+         link, so wait for the head to change. *)
+      if not (conflicts ~reader lo hi n) then true
+      else if not blocking then false
+      else begin
+        Metrics.overlap_wait t.metrics;
+        Waitboard.wait_begin t.board ~lo ~hi ~write:(not reader);
+        (* Park on the holder's range: the head changes either at its
+           release (whose wake carries exactly that range) or at a
+           demotion by an inserter — and an inserter only strips the head
+           mark on its way to waiting out the same conflict, so the
+           deferred wake at the real release still unblocks us. *)
+        let ok =
+          wait_pred t ~wlo:n.N.lo ~whi:n.N.hi ~deadline_ns (fun () ->
+              Sim.A.get t.head != l)
+        in
+        Waitboard.wait_end t.board;
+        ok && drain_from_head t ~reader ~blocking ~deadline_ns lo hi
+      end
+    end
+    else drain_walk t ~reader ~blocking ~deadline_ns lo hi n
+
+  let drain_conflicts t ~reader ~blocking ~deadline_ns r =
     let l0 = Sim.A.get t.head in
     if (not l0.N.marked) && l0.N.succ == N.nil_node then
       (* Empty list: no holder to wait for, and the seq-cst head load
@@ -625,67 +714,9 @@ struct
          check and retreat. Skipping the walk here keeps wide acquisitions
          over idle shards at one atomic load per shard. *)
       true
-    else drain_conflicts_slow t ~reader ~blocking ~deadline_ns r
-
-  and drain_conflicts_slow t ~reader ~blocking ~deadline_ns r =
-    let lo = Range.lo r and hi = Range.hi r in
-    let conflicts (c : N.t) =
-      c.N.lo < hi && lo < c.N.hi && not (reader && c.N.reader)
-    in
-    let wait_marked (c : N.t) =
-      (* As in [wait_until_marked], minus the node-specific bookkeeping. *)
-      Metrics.overlap_wait t.metrics;
-      if Atomic.get Fault.enabled then Fault.hit fp_overlap_wait;
-      Waitboard.wait_begin t.board ~lo ~hi ~write:(not reader);
-      let ok =
-        wait_pred t ~wlo:c.N.lo ~whi:c.N.hi ~deadline_ns (fun () ->
-            (Sim.A.get c.N.next).N.marked)
-      in
-      Waitboard.wait_end t.board;
-      ok
-    in
-    (* List sorted by lo: nothing past [hi] conflicts, and
-       [N.nil_node] starts at [max_int]. *)
-    let rec walk c =
-      if c.N.lo >= hi then true
-      else
-        let cl = Sim.A.get c.N.next in
-        if cl.N.marked then walk cl.N.succ
-        else if not (conflicts c) then walk cl.N.succ
-        else if not blocking then false
-        else if wait_marked c then walk (Sim.A.get c.N.next).N.succ
-        else false
-    in
-    let rec from_head () =
-      let l = Sim.A.get t.head in
-      let n = l.N.succ in
-      if n == N.nil_node then true
-      else if l.N.marked then begin
-        (* Fast-path holder: an exclusive single-node claim of the
-           whole list. Its release (or demotion by an inserter)
-           replaces the head link, so wait for the head to change. *)
-        if not (conflicts n) then true
-        else if not blocking then false
-        else begin
-          Metrics.overlap_wait t.metrics;
-          Waitboard.wait_begin t.board ~lo ~hi ~write:(not reader);
-          (* Park on the holder's range: the head changes either at
-             its release (whose wake carries exactly that range) or
-             at a demotion by an inserter — and an inserter only
-             strips the head mark on its way to waiting out the same
-             conflict, so the deferred wake at the real release
-             still unblocks us. *)
-          let ok =
-            wait_pred t ~wlo:n.N.lo ~whi:n.N.hi ~deadline_ns
-              (fun () -> Sim.A.get t.head != l)
-          in
-          Waitboard.wait_end t.board;
-          if not ok then false else from_head ()
-        end
-      end
-      else walk n
-    in
-    from_head ()
+    else
+      drain_from_head t ~reader ~blocking ~deadline_ns (Range.lo r)
+        (Range.hi r)
 
   let holders t =
     let rec walk l acc =
@@ -767,6 +798,8 @@ struct
   type handle = Core.handle
 
   let name = Core.name
+
+  let generated = Core.generated
 
   let create ?stats ?fast_path ?fairness ?park () =
     Core.create ?stats ?fast_path ?fairness ?park ()

@@ -18,12 +18,11 @@ let rng_key =
   Domain.DLS.new_key (fun () ->
       Prng.create ~seed:(0x5eed1 + (Domain_id.get () * 2654435761)))
 
-let random_height () =
-  let rng = Domain.DLS.get rng_key in
-  let rec go h =
-    if h < max_level && Prng.bool rng ~p:0.25 then go (h + 1) else h
-  in
-  go 1
+let rec draw_height rng h =
+  if h < max_level && Prng.bool rng ~p:0.25 then draw_height rng (h + 1)
+  else h
+
+let random_height () = draw_height (Domain.DLS.get rng_key) 1
 
 include Skip_rw_core_real.Make (Traced_atomic.Real)
     (struct

@@ -61,6 +61,10 @@ val holders : t -> (Rlk.Range.t * [ `Reader | `Writer ]) list
 
 (** {1 Test probes} *)
 
+val generated : bool
+(** [true] when the skip core runs over the list core generated against
+    the real atomics (lib/index/dune), as {!Rlk.List_rw.generated}. *)
+
 val check_structure : t -> (int, string) result
 (** Quiescent-only structural audit: bottom list sorted, towers point at
     unmarked bottom-reachable nodes, every holder linked at exactly as

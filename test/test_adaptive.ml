@@ -115,15 +115,16 @@ let test_combine_rejected () =
 (* ---- allocation on the narrow path ---- *)
 
 (* A single-shard pair behind one resident holder, bias off so both
-   modes take the shard list (OCaml 5.1, no flambda). A read pair
-   allocates 71 words: the backend's 19-word node and the 46 words of
-   its insert path (test_core's bounds), the 4-word handle and the
-   2-word [Single] grant. Shard classification allocates nothing: the
-   first and last shard come from two [Router] calls, not a tuple (they
-   cost 7 words while they did). A write pair allocates 72: list-rw's
-   writer path allocates one word more than its reader's. The
-   bounds are the exact figures, so a new allocation anywhere on the
-   frontend's narrow path fails them. *)
+   modes take the shard list (OCaml 5.1, no flambda). Read and write
+   pairs both allocate 27 words: the backend's 19-word node and the
+   2-word failure counter of its insert path (test_core's bounds), the
+   4-word handle and the 2-word [Single] grant. Shard classification
+   allocates nothing: the first and last shard come from two [Router]
+   calls, not a tuple (they cost 7 words while they did). The insert
+   walk's and validation scans' closures cost 44 more words per pair
+   (45 for a write) while they were closures. The bounds are the exact
+   figures, so a new allocation anywhere on the frontend's narrow path
+   fails them. *)
 let test_narrow_allocation () =
   let t = A.create ~shards:4 ~space:64 ~rbias:false () in
   let resident = A.read_acquire t (range 0 1) in
@@ -134,10 +135,10 @@ let test_narrow_allocation () =
          words)
       true (words <= bound)
   in
-  check "read" ~bound:71.
+  check "read" ~bound:27.
     (Stress_helpers.pair_words (fun () ->
          A.release t (A.read_acquire t r)));
-  check "write" ~bound:72.
+  check "write" ~bound:27.
     (Stress_helpers.pair_words (fun () ->
          A.release t (A.write_acquire t r)));
   Alcotest.(check int) "the resident and every pair took one shard" 22_001

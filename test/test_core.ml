@@ -822,17 +822,15 @@ let node_words () =
    own so the node cannot grow silently). Links are canonical per (node,
    mark), so the rest of the insert path allocates no link record:
    insert, validate, release-mark and the next pair's helper unlink of
-   the marked node all CAS in links built with the node. What is left
-   beyond the node (46 words per list-rw read pair on OCaml 5.1, no
-   flambda) is the insert attempt's closures and failure counter;
-   list-ex skips the validation scan and its closure (33 words per write
-   pair). Those figures are the production cores', generated against the
-   real atomics (lib/core/dune); the same source applied as a functor to
-   [Traced_atomic.Real] closes over more and allocates 48 and 34, so the
-   bounds also fail if production falls back to the functor instance. A
+   the marked node all CAS in links built with the node. The insert walk
+   and the validation scans are top-level recursions, not closures, so
+   all that is left beyond the node is the 2-word failure counter (OCaml
+   5.1, no flambda): 2 words per list-rw read pair and per list-ex write
+   pair. A timed pair also returns its handle in a 2-word [Some]. A
    fresh link per CAS would add a 4-word record to each of the insert,
-   release-mark and helper-unlink CASes. Each lock keeps one resident
-   holder, so no pair takes the fast path. *)
+   release-mark and helper-unlink CASes, and a closure on the path at
+   least 4 words. Each lock keeps one resident holder, so no pair takes
+   the fast path. The bounds are the exact figures. *)
 let test_insert_path_allocation () =
   let w_node = node_words () in
   Alcotest.(check bool)
@@ -850,18 +848,38 @@ let test_insert_path_allocation () =
   let r = range 2 3 in
   let rw = List_rw.create () in
   let resident = List_rw.read_acquire rw (range 0 1) in
-  check "list-rw reader" ~bound:46.
+  let fast_hits () = (List_rw.metrics rw).Metrics.fast_path_hits in
+  check "list-rw reader" ~bound:2.
     (pair_words
        (fun () -> List_rw.release rw (List_rw.read_acquire rw r))
-       (fun () -> (List_rw.metrics rw).Metrics.fast_path_hits));
+       fast_hits);
+  check "list-rw timed reader" ~bound:4.
+    (pair_words
+       (fun () ->
+         match List_rw.read_acquire_opt rw ~deadline_ns:max_int r with
+         | Some h -> List_rw.release rw h
+         | None -> Alcotest.fail "timed read timed out")
+       fast_hits);
   List_rw.release rw resident;
   let ex = List_mutex.create () in
   let resident = List_mutex.acquire ex (range 0 1) in
-  check "list-ex writer" ~bound:33.
+  check "list-ex writer" ~bound:2.
     (pair_words
        (fun () -> List_mutex.release ex (List_mutex.acquire ex r))
        (fun () -> (List_mutex.metrics ex).Metrics.fast_path_hits));
   List_mutex.release ex resident
+
+(* Production runs the list core generated against the real atomics
+   (lib/core/dune, lib/index/dune). The source functor applied to
+   [Traced_atomic.Real] allocates the same per pair, so no allocation
+   bound can tell the two apart; the marker the build rule sets can. *)
+let test_generated_cores () =
+  Alcotest.(check bool) "List_rw runs the generated core" true
+    List_rw.generated;
+  Alcotest.(check bool) "List_mutex runs the generated core" true
+    List_mutex.generated;
+  Alcotest.(check bool) "Skip_rw runs the generated core" true
+    Rlk_index.Skip_rw.generated
 
 (* ---------------- Link algebra and the nil sentinel ---------------- *)
 
@@ -996,7 +1014,9 @@ let () =
            test_exception_injection_rw ]);
       ("node-pool",
        [ Alcotest.test_case "insert path allocates no links" `Quick
-           test_insert_path_allocation ]);
+           test_insert_path_allocation;
+         Alcotest.test_case "production runs the generated cores" `Quick
+           test_generated_cores ]);
       ("node-links",
        [ Alcotest.test_case "link algebra and nil sentinel" `Quick
            test_link_algebra ]) ]
