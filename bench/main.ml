@@ -676,57 +676,63 @@ let verify cfg =
          (if ok then "" else "  ** VIOLATION **"))
     locks;
   (* Dedicated multi-shard scenario: every range straddles a shard
-     boundary of the registered shard-rw geometry (8 shards of 32 slots),
-     mixing blocking, try and timed acquisitions so the cross-shard
-     retreat paths run under the oracle. *)
+     boundary of the registered shard-rw and adaptive-rw geometry (8
+     shards of 32 slots), mixing blocking, try and timed acquisitions so
+     the cross-shard retreat paths run under the oracle. Adaptive-rw runs
+     at its defaults, so the reader bias and the regime sampler are on. *)
   let module Prng = Rlk_primitives.Prng in
   let module Clock = Rlk_primitives.Clock in
-  (let shard_impl = List.assoc "shard-rw" Locks.arrbench_locks in
-   let module L = (val Rlk_check.Record.wrap shard_impl : Rlk.Intf.RW) in
-   let lock = L.create () in
-   let oracle = Rlk_check.Oracle.create () in
-   Rlk.History.arm ~sink:(Rlk_check.Oracle.sink oracle) ();
-   let ds =
-     Array.init 4 (fun i ->
-         Domain.spawn (fun () ->
-             let rng = Prng.create ~seed:(i + 41) in
-             for _ = 1 to 2_000 do
-               let b = 32 * (1 + Prng.below rng 7) in
-               let lo = max 0 (b - 1 - Prng.below rng 40)
-               and hi = b + 1 + Prng.below rng 40 in
-               let r = Rlk.Range.v ~lo ~hi in
-               match Prng.below rng 4 with
-               | 0 ->
-                 let h = L.read_acquire lock r in
-                 L.release lock h
-               | 1 ->
-                 let h = L.write_acquire lock r in
-                 L.release lock h
-               | 2 -> (
-                 match L.try_write_acquire lock r with
-                 | Some h -> L.release lock h
-                 | None -> ())
-               | _ -> (
-                 match
-                   L.write_acquire_opt lock
-                     ~deadline_ns:(Clock.now_ns () + 50_000) r
-                 with
-                 | Some h -> L.release lock h
-                 | None -> ())
-             done))
-   in
-   Array.iter Domain.join ds;
-   Rlk.History.disarm ();
-   let events = Rlk.History.drain () in
-   let report = Rlk_check.Oracle.check ~dropped:(Rlk.History.dropped ()) events in
-   let ok =
-     Rlk_check.Oracle.ok report && Rlk_check.Oracle.violation_count oracle = 0
-   in
-   if not ok then incr bad;
-   say "   %-18s shard-boundary straddle | %a%s" "shard-rw"
-     (fun ppf () -> Rlk_check.Oracle.pp_report ppf report)
-     ()
-     (if ok then "" else "  ** VIOLATION **"));
+  List.iter
+    (fun name ->
+      let module L =
+        (val Rlk_check.Record.wrap (List.assoc name Locks.arrbench_locks)
+          : Rlk.Intf.RW)
+      in
+      let lock = L.create () in
+      let oracle = Rlk_check.Oracle.create () in
+      Rlk.History.arm ~sink:(Rlk_check.Oracle.sink oracle) ();
+      let ds =
+        Array.init 4 (fun i ->
+            Domain.spawn (fun () ->
+                let rng = Prng.create ~seed:(i + 41) in
+                for _ = 1 to 2_000 do
+                  let b = 32 * (1 + Prng.below rng 7) in
+                  let lo = max 0 (b - 1 - Prng.below rng 40)
+                  and hi = b + 1 + Prng.below rng 40 in
+                  let r = Rlk.Range.v ~lo ~hi in
+                  match Prng.below rng 4 with
+                  | 0 ->
+                    let h = L.read_acquire lock r in
+                    L.release lock h
+                  | 1 ->
+                    let h = L.write_acquire lock r in
+                    L.release lock h
+                  | 2 -> (
+                    match L.try_write_acquire lock r with
+                    | Some h -> L.release lock h
+                    | None -> ())
+                  | _ -> (
+                    match
+                      L.write_acquire_opt lock
+                        ~deadline_ns:(Clock.now_ns () + 50_000) r
+                    with
+                    | Some h -> L.release lock h
+                    | None -> ())
+                done))
+      in
+      Array.iter Domain.join ds;
+      Rlk.History.disarm ();
+      let events = Rlk.History.drain () in
+      let report = Rlk_check.Oracle.check ~dropped:(Rlk.History.dropped ()) events in
+      let ok =
+        Rlk_check.Oracle.ok report && Rlk_check.Oracle.violation_count oracle = 0
+      in
+      if not ok then incr bad;
+      say "   %-18s shard-boundary straddle | %a%s" name
+        (fun ppf () -> Rlk_check.Oracle.pp_report ppf report)
+        ()
+        (if ok then "" else "  ** VIOLATION **"))
+    [ "shard-rw"; "adaptive-rw" ];
   if !bad > 0 then say "verify: FAILED for %d lock(s)" !bad
   else say "verify: all locks clean (no overlap violations, no residue)";
   !bad = 0

@@ -58,9 +58,10 @@ module Range = Rlk.Range
    reader publishes its range in a per-domain slot and is granted with
    no list insertion at all when no write operation is in flight
    anywhere ([w_live] = 0). The writer side carries soundness: every
-   write path, after its normal grant steps, raises [w_live] and then
-   sweeps the published slots, waiting out (blocking) or failing
-   against (try/timed) any overlapping published reader. Seq-cst gives
+   write, before it inserts anywhere, raises [w_live] and then sweeps
+   the published slots, waiting out (blocking), failing against (try)
+   or polling until its deadline (timed) against any overlapping
+   published reader. Seq-cst gives
    the Dekker guarantee: the reader's slot publication precedes its
    [w_live] load and the writer's increment precedes its sweep, so
    whichever loads second observes the other side — a fast reader is
@@ -73,7 +74,14 @@ module Range = Rlk.Range
    Blocking acquisitions on one list (a single shard, or [g]) call the
    backend's blocking acquire, which waits on the node it conflicts
    with, as in the paper's list lock: only the release of an overlapping
-   range can wake it, and that release always does. *)
+   range can wake it, and that release always does.
+
+   Try and timed acquisitions run the blocking one's body and take the
+   same route: a timed narrow op is a shard grant, not a g grant. They
+   unwind all-or-nothing. A narrow op refused (or timed out) on a later
+   shard releases the earlier shards' nodes before it drops
+   [narrow_live]; a g op whose drain fails releases its g node; a writer
+   that fails anywhere drops [w_live]. *)
 
 (* Chaos injection points. [adaptive.switch.skip] and
    [adaptive.rbias.skip] are deliberately unsound ([switch.skip] drops
@@ -199,6 +207,10 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
   }
 
   let mk ~reader grant sh = { reader; grant; sh }
+
+  (* The failed acquisition's result, compared with [==]; never handed
+     out. *)
+  let failed = mk ~reader:false Free no_sub
 
   (* Per-domain scratch: the sampling tick and the observation counters,
      one cache-line-isolated record per domain-id slot. The counters live
@@ -456,7 +468,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       (* Revoked: a recent retract showed writers live. Count down on the
          (domain-local) cold side; no shared state is touched. *)
       d.r_cool <- d.r_cool - 1;
-      None
+      failed
     end
     else
     let me = Sim.domain_id () mod Array.length t.rslots in
@@ -465,12 +477,12 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     if v land 3 <> 0 then
       (* Slot held: a nested read from this domain, or an aliased
          domain's live publication. List path. *)
-      None
+      failed
     else if not (Sim.A.compare_and_set s.rseq v (v + 1)) then
       (* Lost the claim race to an aliased domain — publishing anyway
          would overwrite its range (and double-free the slot on
          release). List path. *)
-      None
+      failed
     else begin
       s.b_lo <- Range.lo r;
       s.b_hi <- Range.hi r;
@@ -479,7 +491,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       if Sim.A.get t.w_live = 0 then begin
         d.c_fastr <- d.c_fastr + 1;
         d.r_back <- rcool_base;
-        Some (mk ~reader:true (Fast me) no_sub)
+        mk ~reader:true (Fast me) no_sub
       end
       else begin
         (* Retract — free the slot (next generation) and wake, exactly
@@ -490,7 +502,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         ignore (W.wake_overlap t.rwait ~lo:(Range.lo r) ~hi:(Range.hi r));
         d.r_cool <- d.r_back;
         d.r_back <- min (d.r_back * 2) rcool_cap;
-        None
+        failed
       end
     end
 
@@ -523,21 +535,25 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     done;
     !ok
 
-  (* Blocking wait for overlapping fast readers to drain (parked on
-     [rwait]; every fast-read release wakes by overlap). Fast readers
-     never block, so this edge cannot close a wait-for cycle. *)
-  let rbias_wait t ~lo ~hi =
-    if not (rbias_clear t ~lo ~hi) then
-      ignore (W.wait t.rwait ~lo ~hi (fun () -> rbias_clear t ~lo ~hi))
-
-  (* Deadline-bounded variant for the timed path. *)
-  let rbias_wait_opt t ~deadline_ns ~lo ~hi =
+  (* The writer's slot gate, run after [w_up]: pass once no published
+     fast reader overlaps [lo, hi). A blocking op parks on [rwait] (every
+     fast-read release wakes by overlap), a try makes one sweep, and a
+     timed op polls until its deadline. Fast readers never block, so this
+     edge cannot close a wait-for cycle. *)
+  let rbias_gate t ~blocking ~deadline_ns r =
+    let lo = Range.lo r and hi = Range.hi r in
     rbias_clear t ~lo ~hi
-    || begin
-      Sim.wait_until (fun () ->
-          rbias_clear t ~lo ~hi || Clock.now_ns () >= deadline_ns);
-      rbias_clear t ~lo ~hi
-    end
+    || blocking
+       &&
+       if deadline_ns = max_int then begin
+         ignore (W.wait t.rwait ~lo ~hi (fun () -> rbias_clear t ~lo ~hi));
+         true
+       end
+       else begin
+         Sim.wait_until (fun () ->
+             rbias_clear t ~lo ~hi || Clock.now_ns () >= deadline_ns);
+         rbias_clear t ~lo ~hi
+       end
 
   (* The narrow path's half: after inserting into its shards, a narrow op
      must prove no granted g holder conflicts. Non-blocking — on conflict
@@ -607,7 +623,15 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     h.grant <- Free;
     h.sh <- no_sub
 
-  (* ---- acquisition paths ---- *)
+  (* ---- acquisition ----
+
+     One body serves the blocking, try and timed acquisitions, as the list
+     core's [traverse] does: [~blocking:false] makes one bounded attempt
+     at every step, [~blocking:true] waits, bounded by [deadline_ns]
+     ([max_int] = forever; such an op never fails). A failed backend
+     insert is [no_sub] and a failed op [failed], both compared with
+     [==], so the blocking path builds no option; only the try and timed
+     wrappers do. *)
 
   (* Narrow or wide by shard cover. The callers take [first] and [last]
      as two ints rather than a tuple, so classifying allocates nothing. *)
@@ -616,252 +640,160 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
   let wide_of t r =
     is_wide t ~first:(Router.first t.router r) ~last:(Router.last t.router r)
 
-  (* Blocking acquisition through [g] (wide ops; every op in the list
-     regime; narrow ops that lost the handshake). *)
-  let acquire_g t ~reader r =
-    let gh = B.acquire t.g ~mode:(rw_mode reader) r in
-    ignore (drain_narrow t ~reader ~blocking:true ~deadline_ns:max_int r);
-    let d = dst t in
-    d.c_g <- d.c_g + 1;
-    mk ~reader (Wide gh) no_sub
+  (* One backend insert on list [l]; [no_sub] when it fails. *)
+  let sub_acquire l ~reader ~blocking ~deadline_ns r =
+    if blocking && deadline_ns = max_int then
+      B.acquire l ~mode:(rw_mode reader) r
+    else
+      match
+        if blocking then B.acquire_opt l ~mode:(rw_mode reader) ~deadline_ns r
+        else if reader then B.try_read_acquire l r
+        else B.try_write_acquire l r
+      with
+      | Some h -> h
+      | None -> no_sub
 
-  (* Blocking narrow acquisition: raise [narrow_live], insert ascending,
-     check [g]. *)
-  let acquire_narrow t ~reader r ~first ~last =
-    narrow_up t;
-    let grant, sh =
-      if first = last then
-        (Single first, B.acquire t.shards.(first) ~mode:(rw_mode reader) r)
-      else begin
-        let subs = ref [] in
-        for i = first to last do
-          let sub = Router.clamp t.router i r in
-          subs :=
-            (i, B.acquire t.shards.(i) ~mode:(rw_mode reader) sub) :: !subs
-        done;
-        (Narrow (List.rev !subs), no_sub)
-      end
-    in
-    if gcheck_ok t ~reader r then begin
+  (* Through [g]: wide ops, every op in the list regime, and narrow ops
+     that lost the handshake. Insert, then drain the covered shards; a
+     failed drain releases the g node, the op's only publication. *)
+  let acquire_g t ~reader ~blocking ~deadline_ns r =
+    let gh = sub_acquire t.g ~reader ~blocking ~deadline_ns r in
+    if gh == no_sub then failed
+    else if drain_narrow t ~reader ~blocking ~deadline_ns r then begin
       let d = dst t in
-      (match grant with
-       | Single _ -> d.c_narrow <- d.c_narrow + 1
-       | _ -> d.c_multi <- d.c_multi + 1);
-      mk ~reader grant sh
+      d.c_g <- d.c_g + 1;
+      mk ~reader (Wide gh) no_sub
     end
     else begin
-      (* A granted g holder conflicts: retreat fully (release the shard
-         nodes, then drop [narrow_live]) and re-enter as a g op. *)
-      (match grant with
-       | Single i -> B.release t.shards.(i) sh
-       | Narrow subs -> List.iter (release_sub t) subs
-       | _ -> assert false);
+      B.release t.g gh;
+      failed
+    end
+
+  (* Shards [i .. last] in ascending order (the wait-for order), each with
+     its clamped sub-range; [acc] holds the shards taken so far, newest
+     first. All-or-nothing: a failed insert releases [acc] and returns
+     [[]]. *)
+  let rec narrow_take t ~reader ~blocking ~deadline_ns r i acc =
+    if i > Router.last t.router r then List.rev acc
+    else
+      let sh =
+        sub_acquire t.shards.(i) ~reader ~blocking ~deadline_ns
+          (Router.clamp t.router i r)
+      in
+      if sh == no_sub then begin
+        List.iter (release_sub t) acc;
+        []
+      end
+      else
+        narrow_take t ~reader ~blocking ~deadline_ns r (i + 1)
+          ((i, sh) :: acc)
+
+  (* Raise [narrow_live], insert ascending, check [g]. A failed insert has
+     released every shard node the op took, and ends it. A conflicting
+     granted g holder makes the op retreat fully (release the shard
+     nodes, then drop [narrow_live]) and re-enter through [g] with the
+     same patience. *)
+  let acquire_narrow t ~reader ~blocking ~deadline_ns r ~first ~last =
+    narrow_up t;
+    let sh, subs =
+      if first = last then
+        (* The whole range lies in that shard's span: no clamp. *)
+        (sub_acquire t.shards.(first) ~reader ~blocking ~deadline_ns r, [])
+      else (no_sub, narrow_take t ~reader ~blocking ~deadline_ns r first [])
+    in
+    if sh == no_sub && subs == [] then begin
+      narrow_done t;
+      failed
+    end
+    else if gcheck_ok t ~reader r then begin
+      let d = dst t in
+      if sh != no_sub then begin
+        d.c_narrow <- d.c_narrow + 1;
+        mk ~reader (Single first) sh
+      end
+      else begin
+        d.c_multi <- d.c_multi + 1;
+        mk ~reader (Narrow subs) no_sub
+      end
+    end
+    else begin
+      if sh != no_sub then B.release t.shards.(first) sh
+      else List.iter (release_sub t) subs;
       narrow_done t;
       let d = dst t in
       d.c_diverted <- d.c_diverted + 1;
-      acquire_g t ~reader r
+      acquire_g t ~reader ~blocking ~deadline_ns r
     end
 
-  let acquire t ~reader r =
-    let t0 = match t.stats with None -> 0 | Some _ -> Clock.now_ns () in
+  (* Readers first try the biased fast path. Writers raise [w_live] and
+     pass the slot gate before inserting anywhere. The Dekker argument
+     only needs [w_up] to precede the sweep; sweeping first means the
+     writer waits out live fast readers while holding no node, so
+     slow-path readers keep flowing past it and share with the fast
+     reader exactly as they would on the plain list. Holding [w_live]
+     through the grant and the critical section keeps new fast readers
+     out; release drops it after the nodes are marked, and a failed op
+     drops it here.
+
+     Then regime, sampling and width are decided once. In the list
+     regime's steady state nothing is classified unless a sample fires
+     (the switch decision needs the narrow/wide tag); the g path
+     re-derives shard coverage lazily, and only while narrow holders are
+     live. *)
+  let acquire_body t ~reader ~blocking ~deadline_ns r =
+    let t0 =
+      match t.stats with Some _ when blocking -> Clock.now_ns () | _ -> 0
+    in
+    let wbias = (not reader) && t.rbias in
+    if wbias then w_up t;
+    let fast = if reader && t.rbias then rbias_try t r else failed in
     let h =
-      match if reader && t.rbias then rbias_try t r else None with
-      | Some h -> h
-      | None ->
-      (* Writer prologue: raise [w_live] and sweep the reader slots
-         before inserting anywhere. The Dekker argument only needs
-         [w_up] to precede the sweep; sweeping first means the writer
-         waits out live fast readers while holding no node, so slow-path
-         readers keep flowing past it and share with the fast reader
-         exactly as they would on the plain list. Holding [w_live]
-         through the grant and the critical section keeps new fast
-         readers out; release drops it after the nodes are marked. *)
-      if (not reader) && t.rbias then begin
-        w_up t;
-        rbias_wait t ~lo:(Range.lo r) ~hi:(Range.hi r)
-      end;
-      if regime_bit (Sim.A.get t.mode) = 1 then begin
-        (* List regime steady state: no classification unless a sample
-           fires (the switch decision needs the narrow/wide tag); the g
-           path re-derives shard coverage lazily, and only while narrow
-           holders are live. *)
+      if fast != failed then fast
+      else if wbias && not (rbias_gate t ~blocking ~deadline_ns r) then failed
+      else if regime_bit (Sim.A.get t.mode) = 1 then begin
         if sampled t then decide t ~wide_op:(wide_of t r);
-        acquire_g t ~reader r
+        acquire_g t ~reader ~blocking ~deadline_ns r
       end
       else begin
         let first = Router.first t.router r
         and last = Router.last t.router r in
         let wide_op = is_wide t ~first ~last in
         if sampled t then decide t ~wide_op;
-        if wide_op then acquire_g t ~reader r
-        else acquire_narrow t ~reader r ~first ~last
+        if wide_op then acquire_g t ~reader ~blocking ~deadline_ns r
+        else acquire_narrow t ~reader ~blocking ~deadline_ns r ~first ~last
       end
     in
-    (match t.stats with
-     | None -> ()
-     | Some s ->
-       Lockstat.add s (rw_mode reader) (Clock.now_ns () - t0));
+    if h == failed then begin
+      if wbias then w_down t;
+      (* A try that fails is no timeout. *)
+      if blocking then (dst t).c_timeouts <- (dst t).c_timeouts + 1
+    end
+    else begin
+      match t.stats with
+      | Some s when blocking ->
+        Lockstat.add s (rw_mode reader) (Clock.now_ns () - t0)
+      | _ -> ()
+    end;
     h
+
+  let opt h = if h == failed then None else Some h
+
+  let acquire t ~reader r =
+    acquire_body t ~reader ~blocking:true ~deadline_ns:max_int r
+
+  let try_acquire t ~reader r =
+    opt (acquire_body t ~reader ~blocking:false ~deadline_ns:max_int r)
+
+  let acquire_opt t ~reader ~deadline_ns r =
+    opt (acquire_body t ~reader ~blocking:true ~deadline_ns r)
 
   let read_acquire t r = acquire t ~reader:true r
 
   let write_acquire t r = acquire t ~reader:false r
 
-  (* Non-blocking: one bounded attempt down whichever path routing picks.
-     All-or-nothing on the narrow path; the g path pairs a try-insert
-     with a non-blocking drain. *)
-  let try_acquire t ~reader r =
-    let try_g () =
-      match
-        (if reader then B.try_read_acquire else B.try_write_acquire) t.g r
-      with
-      | None -> None
-      | Some gh ->
-        if drain_narrow t ~reader ~blocking:false ~deadline_ns:max_int r
-        then begin
-          let d = dst t in
-          d.c_g <- d.c_g + 1;
-          Some (mk ~reader (Wide gh) no_sub)
-        end
-        else begin
-          B.release t.g gh;
-          None
-        end
-    in
-    match if reader && t.rbias then rbias_try t r else None with
-    | Some h -> Some h
-    | None ->
-    (* Writer prologue mirrors [acquire]: raise [w_live] and sweep the
-       slots before inserting anywhere. A still-live fast reader fails
-       the try — retrying the sweep would turn try into a wait. The
-       epilogue below drops [w_live] on every [None] path; on success
-       release drops it after the nodes are marked. *)
-    let wbias = (not reader) && t.rbias in
-    if wbias then w_up t;
-    let res =
-      if wbias && not (rbias_clear t ~lo:(Range.lo r) ~hi:(Range.hi r)) then
-        None
-      else
-    if regime_bit (Sim.A.get t.mode) = 1 then begin
-      if sampled t then decide t ~wide_op:(wide_of t r);
-      try_g ()
-    end
-    else begin
-      let first = Router.first t.router r
-      and last = Router.last t.router r in
-      let wide_op = is_wide t ~first ~last in
-      if sampled t then decide t ~wide_op;
-      if wide_op then try_g ()
-      else begin
-        narrow_up t;
-      let try_shard i sub =
-        (if reader then B.try_read_acquire else B.try_write_acquire)
-          t.shards.(i) sub
-      in
-      let rec go i acc =
-        if i > last then Some (List.rev acc)
-        else
-          match try_shard i (Router.clamp t.router i r) with
-          | Some h -> go (i + 1) ((i, h) :: acc)
-          | None ->
-            (* All-or-nothing: retreat from everything claimed. *)
-            List.iter (release_sub t) acc;
-            narrow_done t;
-            None
-      in
-      match
-        if first = last then (
-          (* [first = last] implies the whole range lies in that shard's
-             span, so no clamp is needed. *)
-          match try_shard first r with
-          | Some h -> Some [ (first, h) ]
-          | None ->
-            narrow_done t;
-            None)
-        else go first []
-      with
-      | None -> None
-      | Some subs ->
-        if gcheck_ok t ~reader r then begin
-          let d = dst t in
-          match subs with
-          | [ (i, h) ] ->
-            d.c_narrow <- d.c_narrow + 1;
-            Some (mk ~reader (Single i) h)
-          | _ ->
-            d.c_multi <- d.c_multi + 1;
-            Some (mk ~reader (Narrow subs) no_sub)
-        end
-        else begin
-          List.iter (release_sub t) subs;
-          narrow_done t;
-          None
-        end
-      end
-    end
-    in
-    (match res with None when wbias -> w_down t | _ -> ());
-    res
-
   let try_read_acquire t r = try_acquire t ~reader:true r
 
   let try_write_acquire t r = try_acquire t ~reader:false r
-
-  (* Deadline-bounded acquisition funnels through [g] regardless of
-     regime: the timed contract ([None] leaves no residual state) composes
-     cleanly with exactly one insertion point, and a timed op racing a
-     regime switch then cancels by releasing its single g node — no
-     partial multi-shard unwind. The price is that a timed op in the
-     sharded regime conflicts like a wide one, which the conformance
-     battery's timed scenario accepts. *)
-  let acquire_opt t ~reader ~deadline_ns r =
-    let t0 = match t.stats with None -> 0 | Some _ -> Clock.now_ns () in
-    let result =
-      match if reader && t.rbias then rbias_try t r else None with
-      | Some h -> Some h
-      | None ->
-        (* Writer prologue mirrors [acquire], deadline-bounded: raise
-           [w_live] and wait out live fast readers while holding no
-           node. The epilogue below drops [w_live] on every [None]
-           path; on success release drops it after the node is
-           marked. *)
-        let wbias = (not reader) && t.rbias in
-        if wbias then w_up t;
-        if
-          wbias
-          && not
-               (rbias_wait_opt t ~deadline_ns ~lo:(Range.lo r)
-                  ~hi:(Range.hi r))
-        then None
-        else begin
-          if sampled t then decide t ~wide_op:(wide_of t r);
-          match B.acquire_opt t.g ~mode:(rw_mode reader) ~deadline_ns r with
-          | None -> None
-          | Some gh ->
-            if drain_narrow t ~reader ~blocking:true ~deadline_ns r then begin
-              let d = dst t in
-              d.c_g <- d.c_g + 1;
-              Some (mk ~reader (Wide gh) no_sub)
-            end
-            else begin
-              (* Deadline expired while narrow holders lived: unwind
-                 the g node; nothing else was published. *)
-              B.release t.g gh;
-              None
-            end
-        end
-    in
-    (match result with
-     | None when (not reader) && t.rbias -> w_down t
-     | _ -> ());
-    (match result with
-     | Some _ -> (
-       match t.stats with
-       | None -> ()
-       | Some s ->
-         Lockstat.add s (rw_mode reader) (Clock.now_ns () - t0))
-     | None -> (dst t).c_timeouts <- (dst t).c_timeouts + 1);
-    result
 
   let read_acquire_opt t ~deadline_ns r =
     acquire_opt t ~reader:true ~deadline_ns r

@@ -632,6 +632,54 @@ let adaptive_narrow_drain =
 let adaptive_narrow_drain_fast =
   adaptive_narrow_drain_on ~fast_path:true "adaptive-narrow-drain+fast"
 
+(* The narrow-drain geometry with a try-writer: the two-shard narrow
+   writer [1,4) makes one bounded attempt. Whichever step refuses it (a
+   shard insert, or the [g]-check against the g reader [0,6), after
+   which its diversion makes one try on [g] too), the writer must unwind
+   every shard node it took before giving up, or the reader's drain
+   waits on a node nobody releases (a deadlock the explorer reports).
+   Once both fibers are done, [holders] must be empty: no node left
+   behind by a failed try. Every deadline here is [max_int]; deadline
+   expiry is tested in test_adaptive's [timed] cases. *)
+let adaptive_narrow_try =
+  scenario "adaptive-narrow-try" ~bound:3 ~max_steps:120_000 (fun () ->
+      let module S = Adaptive_stack () in
+      let lock =
+        S.AD.create ~shards:3 ~space:6 ~narrow_max:2 ~sample_every:0
+          ~rbias:false ()
+      in
+      let r = recorder () in
+      let writer () =
+        match S.AD.try_write_acquire lock (range 1 4) with
+        | Some h ->
+          let span = acquired r ~lock:"ad" ~mode:Lockstat.Write ~lo:1 ~hi:4 in
+          Sched.note "two-shard try-writer holds [1,4)";
+          Sched.pause ();
+          released r ~lock:"ad" ~mode:Lockstat.Write ~span ~lo:1 ~hi:4;
+          S.AD.release lock h
+        | None -> failed r ~lock:"ad" ~mode:Lockstat.Write ~lo:1 ~hi:4
+      in
+      let reader () =
+        let h = S.AD.read_acquire lock (range 0 6) in
+        let span = acquired r ~lock:"ad" ~mode:Lockstat.Read ~lo:0 ~hi:6 in
+        Sched.note "g reader holds [0,6)";
+        Sched.pause ();
+        released r ~lock:"ad" ~mode:Lockstat.Read ~span ~lo:0 ~hi:6;
+        S.AD.release lock h
+      in
+      let check () =
+        match oracle_check r () with
+        | Some _ as violation -> violation
+        | None -> (
+          match S.AD.holders lock with
+          | [] -> None
+          | l ->
+            Some
+              (Printf.sprintf "%d node(s) left after both fibers released"
+                 (List.length l)))
+      in
+      { Explore.fibers = [| writer; reader |]; check })
+
 (* Two writers on disjoint ranges of one shard, with reader bias off so
    every grant goes through the shard list. [0,1) acquires and releases
    twice, [2,3) once, each through the list's blocking acquire, racing the
@@ -741,7 +789,7 @@ let all =
     park_unpark; skip_validate_race; skip_park; skip_mixed_height;
     skip_tower_race;
     adaptive_switch_race; adaptive_narrow_drain; adaptive_narrow_drain_fast;
-    adaptive_disjoint_park; adaptive_disjoint_park_fast;
+    adaptive_narrow_try; adaptive_disjoint_park; adaptive_disjoint_park_fast;
     adaptive_reader_bias; adaptive_rbias_alias ]
 
 let run t =

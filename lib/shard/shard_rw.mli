@@ -5,8 +5,9 @@
     Acquisitions whose cover fits in at most [max 1 (shards / 4)] shards
     lock those shards in ascending order with the clamped sub-ranges;
     wider ones go through a global list and wait out conflicting holders
-    in the covered shards. Try acquisitions are all-or-nothing, and timed
-    ones go through the global list, so a timeout leaves no residue. *)
+    in the covered shards. Try and timed acquisitions take the same
+    routes and are all-or-nothing: a refusal or a timeout releases every
+    node the acquisition took. *)
 
 type t
 
@@ -41,9 +42,14 @@ type snapshot = {
   acquisitions : int;
   single_shard : int;  (** narrow grants covering exactly one shard *)
   multi_shard : int;  (** narrow grants covering several shards *)
-  wide_path : int;  (** grants routed straight to the global list *)
+  wide_path : int;
+      (** grants routed straight to the global list (wide ranges, of any
+          kind: blocking, try or timed; a timed narrow grant counts as
+          single or multi) *)
   slow_path : int;  (** narrow acquisitions diverted by a wide holder *)
-  timeouts : int;  (** timed acquisitions that hit their deadline *)
+  timeouts : int;
+      (** timed acquisitions that hit their deadline, on any path; a
+          refused try is not counted *)
   switches : int;  (** regime switches; 0 while the pin holds *)
   regime : Rlk_adaptive.Adaptive_rw.regime;
   shards : int;

@@ -145,6 +145,47 @@ let test_narrow_allocation () =
     (A.snapshot t).A.s_narrow;
   A.release t resident
 
+(* The same single-shard pair through the try and timed wrappers, which
+   run the blocking path's body: 31 words each, the 27 above plus the
+   backend's [Some] and the wrapper's (2 words each). A biased fast read
+   allocates only the 4-word handle and its 2-word [Fast] grant. Exact
+   figures: a closure or an option added on these paths fails them. *)
+let test_try_timed_allocation () =
+  let t = A.create ~shards:4 ~space:64 ~rbias:false () in
+  let resident = A.read_acquire t (range 0 1) in
+  let r = range 2 3 in
+  (* Not [max_int], which is the blocking path's "no deadline". *)
+  let deadline_ns = max_int - 1 in
+  let check what ~bound words =
+    Alcotest.(check (float 0.01))
+      (Printf.sprintf "%s pair allocates %.0f words" what bound)
+      bound words
+  in
+  let release = function
+    | Some h -> A.release t h
+    | None -> Alcotest.fail "free shard refused"
+  in
+  check "try-read" ~bound:31.
+    (Stress_helpers.pair_words (fun () ->
+         release (A.try_read_acquire t r)));
+  check "try-write" ~bound:31.
+    (Stress_helpers.pair_words (fun () ->
+         release (A.try_write_acquire t r)));
+  check "timed read" ~bound:31.
+    (Stress_helpers.pair_words (fun () ->
+         release (A.read_acquire_opt t ~deadline_ns r)));
+  check "timed write" ~bound:31.
+    (Stress_helpers.pair_words (fun () ->
+         release (A.write_acquire_opt t ~deadline_ns r)));
+  Alcotest.(check int) "every pair took one shard" 44_001
+    (A.snapshot t).A.s_narrow;
+  A.release t resident;
+  let b = A.create ~shards:4 ~space:64 () in
+  check "biased fast read" ~bound:6.
+    (Stress_helpers.pair_words (fun () -> A.release b (A.read_acquire b r)));
+  Alcotest.(check int) "every read took the fast path" 11_000
+    (A.snapshot b).A.s_fast_reads
+
 (* ---- same-shard pile-up ---- *)
 
 let spin_until ?(timeout_s = 10.) what pred =
@@ -245,8 +286,9 @@ let test_mid_switch_timed () =
    | Some _ -> Alcotest.fail "granted against a live conflicting holder"
    | None -> ());
   Alcotest.(check bool) "waited out the deadline" true (Clock.now_ns () >= d);
-  (* A disjoint timed acquisition crosses the same switch untouched (same
-     shard, so the res-drain runs and must pass). *)
+  (* A disjoint timed acquisition crosses the same switch untouched: it
+     shares shard 0 with the narrow holder, so the g path's shard drain
+     runs and must pass. *)
   (match
      A.read_acquire_opt t
        ~deadline_ns:(Clock.now_ns () + 1_000_000_000)
@@ -265,6 +307,45 @@ let test_mid_switch_timed () =
    | Some h2 -> A.release t h2
    | None -> Alcotest.fail "range still blocked after unwind");
   Alcotest.(check int) "one timeout recorded" 1 (A.snapshot t).A.s_timeouts
+
+(* A timed op takes the same path as a blocking one: in the sharded
+   regime a narrow timed write is a shard grant, not a g grant. *)
+let test_timed_narrow_path () =
+  (* 8 shards of 8 units, [narrow_max] 2. *)
+  let t = A.create ~shards:8 ~space:64 ~sample_every:0 () in
+  let timed_write r =
+    match
+      A.write_acquire_opt t ~deadline_ns:(Clock.now_ns () + 1_000_000_000) r
+    with
+    | Some h -> A.release t h
+    | None -> Alcotest.fail "timed write on a free lock failed"
+  in
+  timed_write (range 0 4);
+  timed_write (range 12 20);
+  let s = A.snapshot t in
+  Alcotest.(check int) "one-shard timed write is a single grant" 1 s.A.s_narrow;
+  Alcotest.(check int) "two-shard timed write is a multi grant" 1 s.A.s_multi;
+  Alcotest.(check int) "no timed write went through g" 0 s.A.s_g
+
+(* A two-shard timed write whose second shard is held: it takes its first
+   shard, waits on the second until the deadline, and must then unwind
+   the first. *)
+let test_timed_narrow_unwind () =
+  let t = A.create ~shards:8 ~space:64 ~sample_every:0 () in
+  let holder = A.write_acquire t (range 16 20) in
+  let d = Clock.now_ns () + 20_000_000 in
+  (match A.write_acquire_opt t ~deadline_ns:d (range 12 20) with
+   | Some _ -> Alcotest.fail "granted against a live conflicting holder"
+   | None -> ());
+  Alcotest.(check bool) "waited out the deadline" true (Clock.now_ns () >= d);
+  let s = A.snapshot t in
+  Alcotest.(check int) "one timeout recorded" 1 s.A.s_timeouts;
+  Alcotest.(check int) "no diversion to g" 0 s.A.s_diverted;
+  (match A.try_write_acquire t (range 8 16) with
+   | Some h -> A.release t h
+   | None -> Alcotest.fail "first shard left locked by the timeout");
+  A.release t holder;
+  Alcotest.(check int) "no holder left" 0 (List.length (A.holders t))
 
 (* ---- reader bias ---- *)
 
@@ -566,7 +647,9 @@ let () =
             test_combine_rejected ] );
       ( "allocation",
         [ Alcotest.test_case "narrow pair words" `Quick
-            test_narrow_allocation ] );
+            test_narrow_allocation;
+          Alcotest.test_case "try and timed pair words" `Quick
+            test_try_timed_allocation ] );
       ( "pile-up",
         [ Alcotest.test_case "same-shard pile-up exclusion" `Quick
             test_pile_up ] );
@@ -575,7 +658,11 @@ let () =
             test_disjoint_liveness ] );
       ( "timed",
         [ Alcotest.test_case "mid-switch cancellation" `Quick
-            test_mid_switch_timed ] );
+            test_mid_switch_timed;
+          Alcotest.test_case "narrow timed write takes the shards" `Quick
+            test_timed_narrow_path;
+          Alcotest.test_case "two-shard timeout unwinds" `Quick
+            test_timed_narrow_unwind ] );
       ( "reader-bias",
         [ Alcotest.test_case "fast path and writer sweep" `Quick
             test_reader_bias_fast_path;
