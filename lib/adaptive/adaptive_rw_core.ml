@@ -54,22 +54,32 @@ module Range = Rlk.Range
    ascending order, and multi-shard narrow acquisition is ascending.
 
    Read acquisitions get a BRAVO-style biased fast path (Dice & Kogan's
-   reader-bias technique, from the same authors as the source paper): a
-   reader publishes its range in a per-domain slot and is granted with
-   no list insertion at all when no write operation is in flight
-   anywhere ([w_live] = 0). The writer side carries soundness: every
-   write, before it inserts anywhere, raises [w_live] and then sweeps
-   the published slots, waiting out (blocking), failing against (try)
-   or polling until its deadline (timed) against any overlapping
-   published reader. Seq-cst gives
-   the Dekker guarantee: the reader's slot publication precedes its
-   [w_live] load and the writer's increment precedes its sweep, so
-   whichever loads second observes the other side — a fast reader is
-   either visible to every granted writer's sweep or saw the writer and
-   fell back to the list path. Fast readers never block, so adding them
-   to the wait-for order cannot create a cycle. The chaos point
-   [adaptive.rbias.skip] disables exactly the writer's sweep (the
-   model-checked mutation for this handshake).
+   reader-bias technique, from the same authors as the source paper),
+   made range-aware: a reader publishes its range in a per-domain slot
+   and is granted with no list insertion at all unless a write whose
+   range overlaps it is in flight. Writers publish too: before it
+   inserts anywhere, a write claims its domain's writer slot and
+   publishes its range there (or, when that slot is held, raises the
+   global count [w_live]), then sweeps the published reader slots: a
+   try fails against any overlapping published reader, and a blocking
+   or timed write inserts and then waits it out (or polls until its
+   deadline). The
+   reader, after publishing, is granted fast only if [w_live] = 0 and
+   no published writer slot overlaps it. Both sides publish, raise
+   their pool's watermark, then sweep the other pool, all seq-cst: the
+   Dekker guarantee, made symmetric. Whichever side sweeps second
+   observes the other's publication, so a fast reader is either visible
+   to every overlapping granted writer's sweep or saw the writer and
+   fell back to the list path. A disjoint write in flight refuses no
+   one. Before publishing, a reader also sweeps the writer slots once
+   and takes the list path without publishing when an overlapping
+   writer is already there: that keeps readers off a waiting writer's
+   slot sweep, and, unlike a retract, does not stop the domain's next
+   reads from probing. Fast readers never block, so adding them to the
+   wait-for order cannot create a cycle. The chaos points [adaptive.rbias.skip]
+   and [adaptive.wslot.skip] disable exactly the writer's sweep and the
+   reader's post-publication writer-slot sweep (the model-checked
+   mutations for the two halves of this handshake).
 
    Blocking acquisitions on one list (a single shard, or [g]) call the
    backend's blocking acquire, which waits on the node it conflicts
@@ -81,15 +91,18 @@ module Range = Rlk.Range
    unwind all-or-nothing. A narrow op refused (or timed out) on a later
    shard releases the earlier shards' nodes before it drops
    [narrow_live]; a g op whose drain fails releases its g node; a writer
-   that fails anywhere drops [w_live]. *)
+   that fails anywhere frees its writer slot (or drops [w_live]). *)
 
-(* Chaos injection points. [adaptive.switch.skip] and
-   [adaptive.rbias.skip] are deliberately unsound ([switch.skip] drops
-   the narrow path's g-conflict check, [rbias.skip] drops the writer's
-   reader-slot sweep — each breaks exclusion across its handshake
-   detectably); [adaptive.gcheck] is a stall point. *)
+(* Chaos injection points. [adaptive.switch.skip],
+   [adaptive.rbias.skip] and [adaptive.wslot.skip] are deliberately
+   unsound ([switch.skip] drops the narrow path's g-conflict check,
+   [rbias.skip] the writer's reader-slot sweep, [wslot.skip] the
+   reader's post-publication writer-slot sweep — each breaks exclusion
+   across its handshake detectably); [adaptive.gcheck] is a stall
+   point. *)
 let fp_switch_skip = Fault.point "adaptive.switch.skip"
 let fp_rbias_skip = Fault.point "adaptive.rbias.skip"
+let fp_wslot_skip = Fault.point "adaptive.wslot.skip"
 let fp_gcheck = Fault.point "adaptive.gcheck"
 
 (* ---- regime-switch trace (the --regime-trace bench mode) ----
@@ -165,22 +178,22 @@ let rw_mode reader = if reader then Lockstat.Read else Lockstat.Write
 module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
   module W = Waitq_core.Make (Sim)
 
-  (* Biased-reader slot. [rseq]'s low two bits are the slot state — 0
-     free, 1 claimed (fields being written), 2 published — and every
-     claim advances the upper bits (a generation), so a sweeping
-     writer's re-read detects any transition. Slots are a fixed pool
-     indexed by [domain_id mod pool-size], so two live domains can alias
-     one slot: the claim is therefore a CAS (free -> claimed, the
-     {!Waitq_core.slot.active} protocol) and the loser falls back to the
-     list path instead of publishing over the winner's range. Between
-     claim and publish only the claimant writes [b_lo]/[b_hi], and only
-     it moves the slot back to free (retract or release, always
-     advancing the generation); a nested read from the owning domain
-     finds its own slot non-free and takes the list path. A sweeping
-     writer trusts the range only under a published [rseq] that is
-     unchanged across the reads. *)
-  type rslot = {
-    rseq : int Sim.A.t;
+  (* Bias slot, for a fast reader or a writer. [seq]'s low two bits are
+     the slot state — 0 free, 1 claimed (fields being written), 2
+     published — and every claim advances the upper bits (a generation),
+     so a sweep's re-read detects any transition. Slots are a fixed pool
+     per side indexed by [domain_id mod pool-size], so two live domains
+     can alias one slot: the claim is therefore a CAS (free -> claimed,
+     the {!Waitq_core.slot.active} protocol) and the loser falls back (a
+     reader to the list path, a writer to [w_live]) instead of
+     publishing over the winner's range. Between claim and publish only
+     the claimant writes [b_lo]/[b_hi], and only the grant it belongs to
+     moves the slot back to free (retract or release, always advancing
+     the generation); a nested op from the owning domain finds its own
+     slot non-free and falls back. A sweep trusts the range only under a
+     published [seq] that is unchanged across the reads. *)
+  type slot = {
+    seq : int Sim.A.t;
     mutable b_lo : int;
     mutable b_hi : int;
   }
@@ -197,20 +210,26 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
      allocations: a recycled handle lives in the major heap, and storing a
      fresh grant and node into it every operation goes through the write
      barrier. Release resets [grant] to [Free], so a double release is
-     still refused. *)
+     still refused. [role] is [as_reader], [as_wlive] (a writer counted
+     in [w_live], or any writer with the bias off) or the index of the
+     writer slot the op published, which release frees. *)
   let no_sub : B.handle = Obj.magic 0
 
   type handle = {
-    reader : bool;
+    role : int;
     mutable grant : grant;
     mutable sh : B.handle;
   }
 
-  let mk ~reader grant sh = { reader; grant; sh }
+  let as_reader = -2
+
+  let as_wlive = -1
+
+  let mk ~role grant sh = { role; grant; sh }
 
   (* The failed acquisition's result, compared with [==]; never handed
      out. *)
-  let failed = mk ~reader:false Free no_sub
+  let failed = mk ~role:as_wlive Free no_sub
 
   (* Per-domain scratch: the sampling tick and the observation counters,
      one cache-line-isolated record per domain-id slot. The counters live
@@ -231,12 +250,16 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
   }
 
   (* Reader-bias revocation (BRAVO's inhibition, counted in ops instead
-     of wall time): a retract means a writer was live, and under a
-     steady write mix the next attempt will retract too. The domain then
-     sits out the fast path for [r_cool] reads — backoff doubles from
-     [rcool_base] up to [rcool_cap] on consecutive retracts and resets on
-     a fast grant — so a write-heavy phase degrades to the plain list
-     path at ~zero bias tax instead of paying publish+retract per read. *)
+     of wall time): a retract means a conflicting writer was live, and
+     under a steady write mix the next attempt will retract too. The
+     domain then sits out the fast path for [r_cool] reads — backoff
+     doubles from [rcool_base] up to [rcool_cap] on consecutive retracts
+     and resets on a fast grant — so a write-heavy phase degrades to the
+     plain list path at ~zero bias tax instead of paying publish+retract
+     per read. A refusal at the pre-check publishes nothing and costs
+     one sweep, so it does not cool down: cooling there stopped the
+     domain probing reads that no writer overlapped, and on
+     arr-contended cut the fast-read share from about 0.6 to 0.2. *)
   let rcool_base = 16
 
   (* Cap the backoff low enough that a domain re-probes within a few
@@ -246,9 +269,10 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
      leaving whole runs with the bias dormant. *)
   let rcool_cap = 512
 
-  (* Default size of the biased reader slot pool (and so the writer
-     sweep); [create ?rslot_count] overrides it — tests force 1 so every
-     domain aliases one slot and the claim protocol is exercised. *)
+  (* Default size of each bias slot pool, reader and writer (and so of
+     each side's sweep); [create ?rslot_count] overrides it — tests force
+     1 so every domain aliases one slot of each pool and the claim
+     protocol and the writers' [w_live] fallback are exercised. *)
   let rslot_default = min Sim.capacity 16
 
   type t = {
@@ -265,10 +289,18 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     mode : int Sim.A.t;
         (** low bit: 0 sharded / 1 list; upper bits: switch epoch *)
     w_live : int Sim.A.t;
-        (** in-flight/live write operations anywhere; the biased reader's
-            single-load check. Raised before the writer's slot sweep,
+        (** in-flight/live write operations that could not claim their
+            writer slot (a nested write, or an aliased domain's); a
+            biased reader is refused while it is non-zero, whatever the
+            ranges. Raised before the writer's reader-slot sweep,
             dropped only after the writer's nodes are marked. *)
-    rslots : rslot array;
+    wslots : slot array;
+        (** writer slots, indexed like [rslots]: a write publishes its
+            range here before its reader-slot sweep and frees it where
+            [w_live] would be dropped *)
+    whiwat : int Sim.A.t;
+        (** exclusive watermark over writer slots ever published *)
+    rslots : slot array;
         (** indexed by [Sim.domain_id mod Array.length rslots]. Domain
             ids are global monotonically-allocated names (mod capacity),
             so a long-lived process that keeps spawning domains would
@@ -276,7 +308,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
             toward [capacity] cache lines per write acquire. Hashing
             into a small fixed pool bounds the sweep; aliased domains
             race the claim CAS and the loser falls back to the list
-            path (see {!rslot}). *)
+            path (see {!slot}). *)
     rhiwat : int Sim.A.t;
         (** exclusive watermark over reader slots ever published — bounds
             the writer sweep to slots that actually ran *)
@@ -295,6 +327,14 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
   }
 
   let samp_slots = 8
+
+  (* [seq] is padded as well as the record: the one-word atomics of both
+     pools would otherwise pack several to a cache line, and each domain
+     writes its own on every biased read and every write. *)
+  let mk_slots n =
+    Array.init n (fun _ ->
+        Padded_counters.isolate
+          { seq = Sim.A.make_contended 0; b_lo = 0; b_hi = 0 })
 
   (* [combine] must be false: flat combining was removed, and the
      parameter stays only so callers that still pass [~combine:false]
@@ -319,10 +359,9 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       narrow_live = Sim.A.make_contended 0;
       mode = Sim.A.make_contended 0;
       w_live = Sim.A.make_contended 0;
-      rslots =
-        Array.init rslot_count (fun _ ->
-            Padded_counters.isolate
-              { rseq = Sim.A.make 0; b_lo = 0; b_hi = 0 });
+      wslots = mk_slots rslot_count;
+      whiwat = Sim.A.make 0;
+      rslots = mk_slots rslot_count;
       rhiwat = Sim.A.make 0;
       rwait = W.create ();
       rbias;
@@ -444,116 +483,172 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
 
   (* ---- reader bias ---- *)
 
-  (* Raised immediately before a granted writer's slot sweep; dropped only
-     after the writer's nodes are marked on release (or the attempt is
-     fully unwound), so a reader loading 0 has proof no writer is between
-     its sweep and its retraction. *)
+  (* The writers' fallback count, for a write whose writer slot is held:
+     raised where the slot would have been published (before the
+     reader-slot sweep), dropped only after the writer's nodes are marked
+     on release (or the attempt is fully unwound), so a reader loading 0
+     has proof no such writer is between its sweep and its retraction. *)
   let w_up t = ignore (Sim.A.fetch_and_add t.w_live 1)
 
   let w_down t = ignore (Sim.A.fetch_and_add t.w_live (-1))
 
-  (* Raise the slot high-water mark past slot [me]. *)
-  let rec rbias_hiwat t me =
-    let h = Sim.A.get t.rhiwat in
-    if me >= h && not (Sim.A.compare_and_set t.rhiwat h (me + 1)) then
-      rbias_hiwat t me
+  (* Raise a pool's high-water mark past slot [me]. *)
+  let rec hiwat_raise h me =
+    let v = Sim.A.get h in
+    if me >= v && not (Sim.A.compare_and_set h v (me + 1)) then
+      hiwat_raise h me
 
-  (* The reader's half of the Dekker pair: publish the slot, then test
-     [w_live]. On 0 the read is granted outright — any writer that could
-     conflict will raise [w_live] before sweeping and therefore find the
-     slot. Otherwise retract and let the caller take the list path. *)
+  (* Claim [s] (free -> claimed, by CAS) and publish [lo, hi) there;
+     the published [seq], or -1 with nothing written when the slot is
+     held: a nested op from the owning domain, or an aliased domain's
+     live publication, or a lost claim race — publishing anyway would
+     overwrite its range (and double-free the slot on release). *)
+  let slot_publish s ~lo ~hi =
+    let v = Sim.A.get s.seq in
+    if v land 3 = 0 && Sim.A.compare_and_set s.seq v (v + 1) then begin
+      s.b_lo <- lo;
+      s.b_hi <- hi;
+      Sim.A.set s.seq (v + 2);
+      v + 2
+    end
+    else -1
+
+  (* Published -> free, next generation. Only the grant a published slot
+     belongs to writes [seq] (an aliased claim needs it free), so a plain
+     bump is race-free. *)
+  let slot_free s = Sim.A.set s.seq (Sim.A.get s.seq + 2)
+
+  (* One slot of a sweep: does it leave [lo, hi) clear? Seqlock read: the
+     range is only trusted under a published [seq] that is unchanged
+     across the reads; a slot that moves mid-read is re-read. A slot read
+     free or claimed can be skipped outright — its next (or in-flight)
+     publication precedes its owner's own sweep, which comes after our
+     publication (seq-cst: we published before sweeping, and read the
+     slot before its publish), so that owner sees us and backs off. *)
+  let rec slot_clear s ~lo ~hi =
+    let v = Sim.A.get s.seq in
+    v land 3 <> 2
+    ||
+    let slo = s.b_lo and shi = s.b_hi in
+    if Sim.A.get s.seq <> v then slot_clear s ~lo ~hi
+    else slo >= hi || lo >= shi
+
+  (* Slots [i .. n-1] of a pool all clear [lo, hi). *)
+  let rec slots_clear slots n i ~lo ~hi =
+    i >= n
+    || (slot_clear slots.(i) ~lo ~hi && slots_clear slots n (i + 1) ~lo ~hi)
+
+  (* The writer's sweep over the published reader slots. The
+     [adaptive.rbias.skip] chaos point disables exactly this sweep (the
+     model checker's mutation self-test for the writer's half). *)
+  let rbias_clear t ~lo ~hi =
+    (if Atomic.get Fault.enabled then Fault.skip fp_rbias_skip else false)
+    || slots_clear t.rslots (Sim.A.get t.rhiwat) 0 ~lo ~hi
+
+  (* The reader's sweep over the published writer slots. *)
+  let wslots_clear t ~lo ~hi =
+    slots_clear t.wslots (Sim.A.get t.whiwat) 0 ~lo ~hi
+
+  (* The reader's half of the Dekker pair. Pre-check: an overlapping
+     writer already published would refuse us after publication anyway,
+     and our publish-retract-wake would only disturb its reader-slot
+     sweep (a parked writer is woken and re-sweeps), so go to the list
+     path without publishing. That refusal costs one sweep and does not
+     cool the domain down: the next read may be disjoint from every
+     writer. Otherwise publish the slot, then test [w_live] and sweep
+     the writer slots. When both are clear the read is granted outright
+     — any writer that could conflict publishes (or raises [w_live])
+     before sweeping the reader slots and therefore finds ours.
+     Otherwise retract, cool down and let the caller take the list path.
+     The [adaptive.wslot.skip] chaos point disables the post-publication
+     writer-slot sweep (the mutation self-test for the reader's half);
+     the pre-check alone does not carry exclusion. *)
   let rbias_try t r =
     let d = dst t in
     if d.r_cool > 0 then begin
-      (* Revoked: a recent retract showed writers live. Count down on the
-         (domain-local) cold side; no shared state is touched. *)
+      (* Revoked: a recent retract showed a conflicting writer live.
+         Count down on the (domain-local) cold side; no shared state is
+         touched. *)
       d.r_cool <- d.r_cool - 1;
       failed
     end
     else
+    let lo = Range.lo r and hi = Range.hi r in
+    if not (wslots_clear t ~lo ~hi) then failed
+    else
     let me = Sim.domain_id () mod Array.length t.rslots in
     let s = t.rslots.(me) in
-    let v = Sim.A.get s.rseq in
-    if v land 3 <> 0 then
-      (* Slot held: a nested read from this domain, or an aliased
-         domain's live publication. List path. *)
-      failed
-    else if not (Sim.A.compare_and_set s.rseq v (v + 1)) then
-      (* Lost the claim race to an aliased domain — publishing anyway
-         would overwrite its range (and double-free the slot on
-         release). List path. *)
-      failed
+    let v = slot_publish s ~lo ~hi in
+    if v < 0 then failed
     else begin
-      s.b_lo <- Range.lo r;
-      s.b_hi <- Range.hi r;
-      Sim.A.set s.rseq (v + 2);
-      rbias_hiwat t me;
-      if Sim.A.get t.w_live = 0 then begin
+      hiwat_raise t.rhiwat me;
+      if
+        Sim.A.get t.w_live = 0
+        && ((if Atomic.get Fault.enabled then Fault.skip fp_wslot_skip
+             else false)
+           || wslots_clear t ~lo ~hi)
+      then begin
         d.c_fastr <- d.c_fastr + 1;
         d.r_back <- rcool_base;
-        mk ~reader:true (Fast me) no_sub
+        mk ~role:as_reader (Fast me) no_sub
       end
       else begin
         (* Retract — free the slot (next generation) and wake, exactly
            like a release: a sweeping writer may already have parked on
            this slot's just-published range, and nobody else will
            re-enable it. *)
-        Sim.A.set s.rseq (v + 4);
-        ignore (W.wake_overlap t.rwait ~lo:(Range.lo r) ~hi:(Range.hi r));
+        Sim.A.set s.seq (v + 2);
+        ignore (W.wake_overlap t.rwait ~lo ~hi);
         d.r_cool <- d.r_back;
         d.r_back <- min (d.r_back * 2) rcool_cap;
         failed
       end
     end
 
-  (* The writer's half: scan the published slots for an overlap. Per-slot
-     seqlock read: the range is only trusted under a published [rseq]
-     that is unchanged across the reads; a slot that moves mid-read is
-     re-read. A slot read free or claimed can be skipped outright — its
-     next (or in-flight) publication must load [w_live] after our
-     increment (seq-cst: the publish store precedes that load, and we
-     read the slot before the publish) and retract. The
-     [adaptive.rbias.skip] chaos point disables exactly this sweep (the
-     model checker's mutation self-test for the bias handshake). *)
-  let rec slot_clear s ~lo ~hi =
-    let v = Sim.A.get s.rseq in
-    v land 3 <> 2
-    ||
-    let slo = s.b_lo and shi = s.b_hi in
-    if Sim.A.get s.rseq <> v then slot_clear s ~lo ~hi
-    else slo >= hi || lo >= shi
+  (* The writer's publication, before its reader-slot sweep: claim this
+     domain's writer slot and publish [r] there, returning the slot
+     index; or, when the slot is held, raise [w_live] and return
+     [as_wlive]. *)
+  let wbias_up t r =
+    let me = Sim.domain_id () mod Array.length t.wslots in
+    if slot_publish t.wslots.(me) ~lo:(Range.lo r) ~hi:(Range.hi r) >= 0
+    then begin
+      hiwat_raise t.whiwat me;
+      me
+    end
+    else begin
+      w_up t;
+      as_wlive
+    end
 
-  let rbias_clear t ~lo ~hi =
-    (if Atomic.get Fault.enabled then Fault.skip fp_rbias_skip else false)
-    ||
-    let n = Sim.A.get t.rhiwat in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < n do
-      if not (slot_clear t.rslots.(!i) ~lo ~hi) then ok := false;
-      incr i
-    done;
-    !ok
+  (* Undo [wbias_up] for an op of [role]: after its nodes are marked on
+     release, or once a failed attempt is unwound. Readers and writers
+     with the bias off published nothing. *)
+  let wbias_down t role =
+    if role >= 0 then slot_free t.wslots.(role)
+    else if role = as_wlive && t.rbias then w_down t
 
-  (* The writer's slot gate, run after [w_up]: pass once no published
-     fast reader overlaps [lo, hi). A blocking op parks on [rwait] (every
-     fast-read release wakes by overlap), a try makes one sweep, and a
-     timed op polls until its deadline. Fast readers never block, so this
-     edge cannot close a wait-for cycle. *)
-  let rbias_gate t ~blocking ~deadline_ns r =
+  (* The writer's slot gate, for a blocking or timed write whose first
+     sweep (after [wbias_up]) met an overlapping published fast reader:
+     pass once none is left. It runs after the write's list insertion,
+     so the wait for the reader's critical section overlaps the insert
+     walk instead of preceding it. A blocking op parks on [rwait] (every
+     fast-read release or retract wakes by overlap) and a timed op polls
+     until its deadline. Fast readers never block, so this edge cannot
+     close a wait-for cycle. *)
+  let rbias_gate t ~deadline_ns r =
     let lo = Range.lo r and hi = Range.hi r in
     rbias_clear t ~lo ~hi
-    || blocking
-       &&
-       if deadline_ns = max_int then begin
-         ignore (W.wait t.rwait ~lo ~hi (fun () -> rbias_clear t ~lo ~hi));
-         true
-       end
-       else begin
-         Sim.wait_until (fun () ->
-             rbias_clear t ~lo ~hi || Clock.now_ns () >= deadline_ns);
-         rbias_clear t ~lo ~hi
-       end
+    ||
+    if deadline_ns = max_int then begin
+      ignore (W.wait t.rwait ~lo ~hi (fun () -> rbias_clear t ~lo ~hi));
+      true
+    end
+    else begin
+      Sim.wait_until (fun () ->
+          rbias_clear t ~lo ~hi || Clock.now_ns () >= deadline_ns);
+      rbias_clear t ~lo ~hi
+    end
 
   (* The narrow path's half: after inserting into its shards, a narrow op
      must prove no granted g holder conflicts. Non-blocking — on conflict
@@ -598,28 +693,35 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
 
   (* ---- releases ---- *)
 
-  let release_sub t (i, sub) = B.release t.shards.(i) sub
+  (* A multi-shard grant's nodes; a top-level recursion, so releasing
+     builds no closure. *)
+  let rec release_subs t = function
+    | [] -> ()
+    | (i, sub) :: rest ->
+      B.release t.shards.(i) sub;
+      release_subs t rest
 
-  let release t h =
-    (match h.grant with
+  let release_grant t h =
+    match h.grant with
      | Single i ->
        B.release t.shards.(i) h.sh;
        narrow_done t
      | Narrow subs ->
-       List.iter (release_sub t) subs;
+       release_subs t subs;
        narrow_done t
      | Wide gh -> B.release t.g gh
      | Fast i ->
-       (* Free the slot (published -> free, next generation), then wake
-          writers parked on the released range. Only the granted owner
-          may write [rseq] while the slot is published — an aliased
-          claim needs it free — so a plain bump is race-free. *)
+       (* Free the slot, then wake writers parked on the released
+          range. *)
        let s = t.rslots.(i) in
        let lo = s.b_lo and hi = s.b_hi in
-       Sim.A.set s.rseq (Sim.A.get s.rseq + 2);
+       slot_free s;
        ignore (W.wake_overlap t.rwait ~lo ~hi)
-     | Free -> invalid_arg "Adaptive_rw.release: handle already released");
-    if (not h.reader) && t.rbias then w_down t;
+     | Free -> invalid_arg "Adaptive_rw.release: handle already released"
+
+  let release t h =
+    release_grant t h;
+    wbias_down t h.role;
     h.grant <- Free;
     h.sh <- no_sub
 
@@ -655,14 +757,17 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
 
   (* Through [g]: wide ops, every op in the list regime, and narrow ops
      that lost the handshake. Insert, then drain the covered shards; a
-     failed drain releases the g node, the op's only publication. *)
-  let acquire_g t ~reader ~blocking ~deadline_ns r =
+     failed drain releases the g node, the op's only publication. This
+     and [acquire_narrow] take the op's [role] (see {!handle}), which
+     says whether it reads. *)
+  let acquire_g t ~role ~blocking ~deadline_ns r =
+    let reader = role = as_reader in
     let gh = sub_acquire t.g ~reader ~blocking ~deadline_ns r in
     if gh == no_sub then failed
     else if drain_narrow t ~reader ~blocking ~deadline_ns r then begin
       let d = dst t in
       d.c_g <- d.c_g + 1;
-      mk ~reader (Wide gh) no_sub
+      mk ~role (Wide gh) no_sub
     end
     else begin
       B.release t.g gh;
@@ -670,36 +775,38 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     end
 
   (* Shards [i .. last] in ascending order (the wait-for order), each with
-     its clamped sub-range; [acc] holds the shards taken so far, newest
-     first. All-or-nothing: a failed insert releases [acc] and returns
-     [[]]. *)
-  let rec narrow_take t ~reader ~blocking ~deadline_ns r i acc =
-    if i > Router.last t.router r then List.rev acc
+     its clamped sub-range, as an ascending [(shard, node)] list built on
+     the way back out, so no reversal is copied. All-or-nothing: a
+     refused insert returns [[]], and each shard taken before it is
+     released on the way out, newest first. Called with [i < last]; the
+     recursion is as deep as the cover, which [narrow_max] bounds. *)
+  let rec narrow_take t ~reader ~blocking ~deadline_ns r i =
+    let sh =
+      sub_acquire t.shards.(i) ~reader ~blocking ~deadline_ns
+        (Router.clamp t.router i r)
+    in
+    if sh == no_sub then []
+    else if i = Router.last t.router r then [ (i, sh) ]
     else
-      let sh =
-        sub_acquire t.shards.(i) ~reader ~blocking ~deadline_ns
-          (Router.clamp t.router i r)
-      in
-      if sh == no_sub then begin
-        List.iter (release_sub t) acc;
+      match narrow_take t ~reader ~blocking ~deadline_ns r (i + 1) with
+      | [] ->
+        B.release t.shards.(i) sh;
         []
-      end
-      else
-        narrow_take t ~reader ~blocking ~deadline_ns r (i + 1)
-          ((i, sh) :: acc)
+      | rest -> (i, sh) :: rest
 
   (* Raise [narrow_live], insert ascending, check [g]. A failed insert has
      released every shard node the op took, and ends it. A conflicting
      granted g holder makes the op retreat fully (release the shard
      nodes, then drop [narrow_live]) and re-enter through [g] with the
      same patience. *)
-  let acquire_narrow t ~reader ~blocking ~deadline_ns r ~first ~last =
+  let acquire_narrow t ~role ~blocking ~deadline_ns r ~first ~last =
+    let reader = role = as_reader in
     narrow_up t;
     let sh, subs =
       if first = last then
         (* The whole range lies in that shard's span: no clamp. *)
         (sub_acquire t.shards.(first) ~reader ~blocking ~deadline_ns r, [])
-      else (no_sub, narrow_take t ~reader ~blocking ~deadline_ns r first [])
+      else (no_sub, narrow_take t ~reader ~blocking ~deadline_ns r first)
     in
     if sh == no_sub && subs == [] then begin
       narrow_done t;
@@ -709,31 +816,39 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       let d = dst t in
       if sh != no_sub then begin
         d.c_narrow <- d.c_narrow + 1;
-        mk ~reader (Single first) sh
+        mk ~role (Single first) sh
       end
       else begin
         d.c_multi <- d.c_multi + 1;
-        mk ~reader (Narrow subs) no_sub
+        mk ~role (Narrow subs) no_sub
       end
     end
     else begin
       if sh != no_sub then B.release t.shards.(first) sh
-      else List.iter (release_sub t) subs;
+      else release_subs t subs;
       narrow_done t;
       let d = dst t in
       d.c_diverted <- d.c_diverted + 1;
-      acquire_g t ~reader ~blocking ~deadline_ns r
+      acquire_g t ~role ~blocking ~deadline_ns r
     end
 
-  (* Readers first try the biased fast path. Writers raise [w_live] and
-     pass the slot gate before inserting anywhere. The Dekker argument
-     only needs [w_up] to precede the sweep; sweeping first means the
-     writer waits out live fast readers while holding no node, so
-     slow-path readers keep flowing past it and share with the fast
-     reader exactly as they would on the plain list. Holding [w_live]
-     through the grant and the critical section keeps new fast readers
-     out; release drops it after the nodes are marked, and a failed op
-     drops it here.
+  (* Readers first try the biased fast path. Writers publish their range
+     ([wbias_up]: their writer slot, or [w_live]) and sweep the reader
+     slots once before inserting anywhere. A clear sweep is the common
+     case and the write needs no further check. A try that meets an
+     overlapping fast reader fails there, holding no node. A blocking
+     or timed write inserts anyway and then waits out the reader at the
+     slot gate, as it would wait out an overlapping list reader's node;
+     a gate that times out releases the grant. The Dekker argument only
+     needs the publication to precede the sweep that passes. Waiting
+     before the insertion instead put the whole insert walk behind the
+     reader's critical section: on arr-contended, where about half the
+     reads are fast, adaptive-rw's write p99 read 1.08x the
+     range-unaware bias's that way, against 1.02x with the wait after
+     the insertion (doc/perf.md).
+     Holding the publication through the grant and the critical section
+     keeps new overlapping fast readers out; release undoes it after the
+     nodes are marked, and a failed op undoes it here.
 
      Then regime, sampling and width are decided once. In the list
      regime's steady state nothing is classified unless a sample fires
@@ -745,26 +860,38 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       match t.stats with Some _ when blocking -> Clock.now_ns () | _ -> 0
     in
     let wbias = (not reader) && t.rbias in
-    if wbias then w_up t;
+    let role =
+      if reader then as_reader else if wbias then wbias_up t r else as_wlive
+    in
     let fast = if reader && t.rbias then rbias_try t r else failed in
+    let gated =
+      wbias && not (rbias_clear t ~lo:(Range.lo r) ~hi:(Range.hi r))
+    in
     let h =
       if fast != failed then fast
-      else if wbias && not (rbias_gate t ~blocking ~deadline_ns r) then failed
+      else if gated && not blocking then failed
       else if regime_bit (Sim.A.get t.mode) = 1 then begin
         if sampled t then decide t ~wide_op:(wide_of t r);
-        acquire_g t ~reader ~blocking ~deadline_ns r
+        acquire_g t ~role ~blocking ~deadline_ns r
       end
       else begin
         let first = Router.first t.router r
         and last = Router.last t.router r in
         let wide_op = is_wide t ~first ~last in
         if sampled t then decide t ~wide_op;
-        if wide_op then acquire_g t ~reader ~blocking ~deadline_ns r
-        else acquire_narrow t ~reader ~blocking ~deadline_ns r ~first ~last
+        if wide_op then acquire_g t ~role ~blocking ~deadline_ns r
+        else acquire_narrow t ~role ~blocking ~deadline_ns r ~first ~last
       end
     in
+    let h =
+      if gated && h != failed && not (rbias_gate t ~deadline_ns r) then begin
+        release_grant t h;
+        failed
+      end
+      else h
+    in
     if h == failed then begin
-      if wbias then w_down t;
+      wbias_down t role;
       (* A try that fails is no timeout. *)
       if blocking then (dst t).c_timeouts <- (dst t).c_timeouts + 1
     end
@@ -811,7 +938,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     let n = Sim.A.get t.rhiwat in
     for i = 0 to n - 1 do
       let s = t.rslots.(i) in
-      if Sim.A.get s.rseq land 3 = 2 then
+      if Sim.A.get s.seq land 3 = 2 then
         acc := (Range.v ~lo:s.b_lo ~hi:s.b_hi, `Reader) :: !acc
     done;
     !acc

@@ -717,11 +717,15 @@ let adaptive_disjoint_park_fast =
    reader [1,4) eligible for the biased fast path. On the schedules
    where the reader publishes its slot and loads [w_live] = 0 it is
    granted with no list presence at all; exclusion over the overlap
-   [1,2) then rests entirely on the writer's slot sweep (raise [w_live],
-   scan, park on [rwait]). The interleavings cover both Dekker outcomes,
-   the retract-and-fallback path, and the release-side wake of a parked
-   sweeping writer. Arming [adaptive.rbias.skip] drops the sweep and
-   must yield an overlap counterexample (the bias mutation self-test). *)
+   [1,2) then rests entirely on the Dekker pair: the writer publishes its
+   writer slot and sweeps the reader slots (parking on [rwait]), the
+   reader publishes and sweeps the writer slots. The interleavings cover
+   both Dekker outcomes, the reader's pre-check, the
+   retract-and-fallback path, and the release-side wake of a parked
+   sweeping writer. Arming [adaptive.rbias.skip] drops the writer's
+   sweep, and arming [adaptive.wslot.skip] the reader's
+   post-publication sweep; each must yield an overlap counterexample
+   (the bias mutation self-tests). *)
 let adaptive_reader_bias =
   scenario "adaptive-reader-bias" ~bound:3 ~max_steps:120_000 (fun () ->
       let module S = Adaptive_stack () in
@@ -783,6 +787,45 @@ let adaptive_rbias_alias =
       { Explore.fibers = [| reader 0 2; reader 2 4; writer |];
         check = oracle_check r })
 
+(* Writer-slot aliasing: [rslot_count:1] pins every fiber onto one
+   reader slot and one writer slot. The two writers [0,1) and [2,3) are
+   disjoint, so both can be granted at once; whichever claims the writer
+   slot second finds it held and falls back to counting itself in
+   [w_live]. The reader [0,4) overlaps both, so a fast grant must be
+   refused by either kind of publication: the slot by the reader's
+   writer-slot sweep, the fallback by its [w_live] load, and each writer
+   in turn by its own sweep of the reader slot. Release must undo the
+   publication each writer actually made — free the slot, or drop
+   [w_live] — or a later reader is refused forever or a later writer is
+   missed. Three fibers at bound 3 explore ~220,000 schedules, so it
+   runs in the full set only. *)
+let adaptive_wslot_alias =
+  scenario "adaptive-wslot-alias" ~bound:3 ~max_steps:200_000
+    ~full_only:true (fun () ->
+      let module S = Adaptive_stack () in
+      let lock =
+        S.AD.create ~shards:1 ~space:4 ~sample_every:0 ~rslot_count:1 ()
+      in
+      let r = recorder () in
+      let writer lo hi () =
+        let h = S.AD.write_acquire lock (range lo hi) in
+        let span = acquired r ~lock:"ad" ~mode:Lockstat.Write ~lo ~hi in
+        Sched.note (Printf.sprintf "writer holds [%d,%d)" lo hi);
+        Sched.pause ();
+        released r ~lock:"ad" ~mode:Lockstat.Write ~span ~lo ~hi;
+        S.AD.release lock h
+      in
+      let reader () =
+        let h = S.AD.read_acquire lock (range 0 4) in
+        let span = acquired r ~lock:"ad" ~mode:Lockstat.Read ~lo:0 ~hi:4 in
+        Sched.note "reader holds [0,4)";
+        Sched.pause ();
+        released r ~lock:"ad" ~mode:Lockstat.Read ~span ~lo:0 ~hi:4;
+        S.AD.release lock h
+      in
+      { Explore.fibers = [| writer 0 1; writer 2 3; reader |];
+        check = oracle_check r })
+
 let all =
   [ mutex_overlap; mutex_fastpath; mutex_try; mutex_3dom; rw_validate_race;
     rw_writer_pref; rw_fastpath; rw_relink; fairgate_escalate; rwlock_basic;
@@ -790,7 +833,7 @@ let all =
     skip_tower_race;
     adaptive_switch_race; adaptive_narrow_drain; adaptive_narrow_drain_fast;
     adaptive_narrow_try; adaptive_disjoint_park; adaptive_disjoint_park_fast;
-    adaptive_reader_bias; adaptive_rbias_alias ]
+    adaptive_reader_bias; adaptive_rbias_alias; adaptive_wslot_alias ]
 
 let run t =
   Explore.explore ~bound:t.bound ~max_steps:t.max_steps t.scen

@@ -15,7 +15,15 @@ module A = Rlk_adaptive.Adaptive_rw
      against [~fast_path:false] on this lock's own traffic (doc/perf.md,
      "Measured results"): without it the disjoint ArrBench cells read
      4-13% lower and range-shard 5-7% lower;
-   - [~rbias:false]: no biased reader slots. *)
+   - [~rbias:false]: no biased reader slots. With the bias on, every
+     write used to pay a fetch-and-add pair on the shared [w_live] word,
+     which cost this lock's disjoint ArrBench cells 6-21%. A write now
+     publishes its range in its own writer slot instead and touches
+     [w_live] only when that slot is held, but it still sweeps the
+     reader slots, and every probing read sweeps the writer slots once
+     or twice; the
+     bias-on configuration has not been measured against this one
+     since. *)
 
 type t = A.t
 

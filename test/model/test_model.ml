@@ -96,6 +96,13 @@ let mutations =
       target = Scenarios.adaptive_reader_bias;
       point = "adaptive.rbias"; seed = 911; expect = Overlap;
       observes = "the bias handshake" };
+    (* The reader's post-publication sweep of the writer slots: the only
+       edge making a writer that published its slot before the reader
+       published visible to that reader, whose pre-check ran earlier. *)
+    { case = "adaptive wslot-skip counterexample";
+      target = Scenarios.adaptive_reader_bias;
+      point = "adaptive.wslot"; seed = 913; expect = Overlap;
+      observes = "the range-aware bias handshake" };
     (* list-ex skips validation, so the traversal's conflict wait is its
        only guard: walking past the holder must yield an overlap. With
        validation on, as in list-rw, the writer's scan catches the holder

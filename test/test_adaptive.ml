@@ -12,7 +12,9 @@
    - mid-switch timed cancellation: a deadline acquisition racing a
      forced regime flip must time out cleanly (no residue) against a
      conflicting narrow holder and grant against a disjoint one;
-   - reader bias: the fast path, the writer sweep and slot aliasing;
+   - reader bias: the fast path, the writer sweep, slot aliasing, and
+     the writers' published ranges (a disjoint writer refuses no
+     biased read; a nested write falls back to [w_live]);
    - the differential oracle property (mirroring the PR 7 skip/list
      one): random sequential programs replayed against list-rw and
      adaptive-rw — with the sampling knobs tuned to flip regimes
@@ -143,7 +145,23 @@ let test_narrow_allocation () =
          A.release t (A.write_acquire t r)));
   Alcotest.(check int) "the resident and every pair took one shard" 22_001
     (A.snapshot t).A.s_narrow;
-  A.release t resident
+  A.release t resident;
+  (* A two-shard narrow write ([14,18) straddles shards 0 and 1): two
+     backend inserts, the handle, the [Narrow] grant, and a 3-word tuple,
+     a 3-word cons cell and a clamped sub-range per shard: 79 words. The
+     grant list is built ascending on the way back out of the insert
+     recursion; building it newest-first and reversing it copied both
+     cons cells (90 with the release's [List.iter] closure, 84
+     without). Exact figure. *)
+  let m = A.create ~shards:4 ~space:64 ~narrow_max:2 ~rbias:false () in
+  let resident = A.read_acquire m (range 0 1) in
+  Alcotest.(check (float 0.01))
+    "2-shard write pair allocates 79 words" 79.
+    (Stress_helpers.pair_words (fun () ->
+         A.release m (A.write_acquire m (range 14 18))));
+  Alcotest.(check int) "every pair took both shards" 11_000
+    (A.snapshot m).A.s_multi;
+  A.release m resident
 
 (* The same single-shard pair through the try and timed wrappers, which
    run the blocking path's body: 31 words each, the 27 above plus the
@@ -363,6 +381,17 @@ let test_reader_bias_fast_path () =
   (match A.try_write_acquire t (range 32 40) with
    | Some h -> A.release t h
    | None -> Alcotest.fail "disjoint try_write must grant past the slot");
+  (* A timed overlapping write inserts, then waits for the fast reader
+     at the slot gate; on expiry it releases the node it inserted and
+     frees its writer slot. *)
+  Alcotest.(check bool) "timed write expires at the slot gate" true
+    (A.write_acquire_opt t
+       ~deadline_ns:(Clock.now_ns () + 20_000_000)
+       (range 16 28)
+     = None);
+  Alcotest.(check int) "one timeout" 1 (A.snapshot t).A.s_timeouts;
+  Alcotest.(check int) "the expired write left no node" 1
+    (List.length (A.holders t));
   (* A second read from the same domain finds its slot held and falls
      back to the list path — still granted (readers share). *)
   let hr2 = A.read_acquire t (range 8 24) in
@@ -454,6 +483,90 @@ let test_reader_bias_aliased_slot () =
      park this writer forever. *)
   let h = A.write_acquire t (range 0 64) in
   A.release t h
+
+(* A writer's published range refuses only overlapping biased reads:
+   while another domain holds [0,16) for writing, a read of [32,48) is
+   granted fast, and an overlapping try-read is refused. *)
+let test_reader_bias_disjoint_writer () =
+  let t = A.create ~shards:4 ~space:64 ~sample_every:0 () in
+  let hold = Atomic.make true in
+  let held = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let h = A.write_acquire t (range 0 16) in
+        Atomic.set held true;
+        while Atomic.get hold do
+          Domain.cpu_relax ()
+        done;
+        A.release t h)
+  in
+  spin_until "writer holds" (fun () -> Atomic.get held);
+  let hr = A.read_acquire t (range 32 48) in
+  Alcotest.(check int) "disjoint read granted fast past the writer" 1
+    (A.snapshot t).A.s_fast_reads;
+  A.release t hr;
+  Alcotest.(check bool) "overlapping try_read refused" true
+    (A.try_read_acquire t (range 8 12) = None);
+  Alcotest.(check int) "the refused read was not fast" 1
+    (A.snapshot t).A.s_fast_reads;
+  Atomic.set hold false;
+  Domain.join d
+
+(* Reads until one is granted fast, at most [n]; the fast-read count
+   after. A refused biased read cools its domain down for 16 reads. *)
+let read_until_fast t r n =
+  let before = (A.snapshot t).A.s_fast_reads in
+  let rec go n =
+    if n > 0 && (A.snapshot t).A.s_fast_reads = before then begin
+      A.release t (A.read_acquire t r);
+      go (n - 1)
+    end
+  in
+  go n;
+  (A.snapshot t).A.s_fast_reads
+
+(* Two nested writes from one domain: the first claims the domain's
+   writer slot, the second finds it held and counts itself in [w_live],
+   which refuses every biased read, disjoint or not. Each release undoes
+   what its own write published, so after both, in either order, reads
+   go fast again. *)
+let test_reader_bias_nested_writes () =
+  List.iter
+    (fun outer_first ->
+      let t = A.create ~shards:4 ~space:64 ~sample_every:0 () in
+      let w1 = A.write_acquire t (range 0 4) in
+      A.release t (A.read_acquire t (range 32 40));
+      Alcotest.(check int) "a slot-published writer leaves disjoint reads fast"
+        1 (A.snapshot t).A.s_fast_reads;
+      let w2 = A.write_acquire t (range 8 12) in
+      A.release t (A.read_acquire t (range 32 40));
+      Alcotest.(check int) "the nested writer's w_live refuses every read" 1
+        (A.snapshot t).A.s_fast_reads;
+      if outer_first then (A.release t w1; A.release t w2)
+      else (A.release t w2; A.release t w1);
+      Alcotest.(check int)
+        (Printf.sprintf "fast again after both releases (%s first)"
+           (if outer_first then "outer" else "inner"))
+        2
+        (read_until_fast t (range 0 12) 17))
+    [ true; false ]
+
+(* A write handle released by another domain frees the writer slot its
+   acquisition published, not the releasing domain's: an overlapping read
+   goes fast afterwards, and the next write here claims the slot again
+   (a disjoint read stays fast while it holds). *)
+let test_reader_bias_foreign_release () =
+  let t = A.create ~shards:4 ~space:64 ~sample_every:0 () in
+  let w = A.write_acquire t (range 0 16) in
+  Domain.join (Domain.spawn (fun () -> A.release t w));
+  A.release t (A.read_acquire t (range 4 8));
+  Alcotest.(check int) "overlapping read fast after the foreign release" 1
+    (A.snapshot t).A.s_fast_reads;
+  let w = A.write_acquire t (range 0 16) in
+  A.release t (A.read_acquire t (range 32 40));
+  Alcotest.(check int) "the slot was free to claim again" 2
+    (A.snapshot t).A.s_fast_reads;
+  A.release t w
 
 let test_aliased_slot_stress () =
   (* Same pinning under the ArrBench occupancy checker: 4 domains
@@ -672,6 +785,12 @@ let () =
             `Quick test_reader_bias_blocking_writer;
           Alcotest.test_case "aliased slot loses the claim CAS" `Quick
             test_reader_bias_aliased_slot;
+          Alcotest.test_case "disjoint writer leaves reads fast" `Quick
+            test_reader_bias_disjoint_writer;
+          Alcotest.test_case "nested write falls back to w_live" `Quick
+            test_reader_bias_nested_writes;
+          Alcotest.test_case "foreign release frees the writer slot" `Quick
+            test_reader_bias_foreign_release;
           Alcotest.test_case "aliased-slot random stress" `Quick
             test_aliased_slot_stress ] );
       ( "exclusion",
