@@ -62,12 +62,11 @@ module Range = Rlk.Range
    publishes its range there (or, when that slot is held, raises the
    global count [w_live]), then sweeps the published reader slots: a
    try fails against any overlapping published reader, and a blocking
-   or timed write inserts and then waits it out (or polls until its
-   deadline). The
-   reader, after publishing, is granted fast only if [w_live] = 0 and
-   no published writer slot overlaps it. Both sides publish, raise
-   their pool's watermark, then sweep the other pool, all seq-cst: the
-   Dekker guarantee, made symmetric. Whichever side sweeps second
+   or timed write waits it out (or polls until its deadline), holding
+   no list node. The reader, after publishing, is granted fast only if
+   [w_live] = 0 and no published writer slot overlaps it. Both sides
+   publish, raise their pool's watermark, then sweep the other pool,
+   all seq-cst: the Dekker guarantee, made symmetric. Whichever side sweeps second
    observes the other's publication, so a fast reader is either visible
    to every overlapping granted writer's sweep or saw the writer and
    fell back to the list path. A disjoint write in flight refuses no
@@ -75,9 +74,10 @@ module Range = Rlk.Range
    and takes the list path without publishing when an overlapping
    writer is already there: that keeps readers off a waiting writer's
    slot sweep, and, unlike a retract, does not stop the domain's next
-   reads from probing. Fast readers never block, so adding them to the
-   wait-for order cannot create a cycle. The chaos points [adaptive.rbias.skip]
-   and [adaptive.wslot.skip] disable exactly the writer's sweep and the
+   reads from probing. Fast readers never block and a gated writer
+   holds no node, so adding them to the wait-for order cannot create a
+   cycle. The chaos points [adaptive.rbias.skip] and
+   [adaptive.wslot.skip] disable exactly the writer's sweep and the
    reader's post-publication writer-slot sweep (the model-checked
    mutations for the two halves of this handshake).
 
@@ -328,13 +328,9 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
 
   let samp_slots = 8
 
-  (* [seq] is padded as well as the record: the one-word atomics of both
-     pools would otherwise pack several to a cache line, and each domain
-     writes its own on every biased read and every write. *)
   let mk_slots n =
     Array.init n (fun _ ->
-        Padded_counters.isolate
-          { seq = Sim.A.make_contended 0; b_lo = 0; b_hi = 0 })
+        Padded_counters.isolate { seq = Sim.A.make 0; b_lo = 0; b_hi = 0 })
 
   (* [combine] must be false: flat combining was removed, and the
      parameter stays only so callers that still pass [~combine:false]
@@ -628,27 +624,27 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     if role >= 0 then slot_free t.wslots.(role)
     else if role = as_wlive && t.rbias then w_down t
 
-  (* The writer's slot gate, for a blocking or timed write whose first
-     sweep (after [wbias_up]) met an overlapping published fast reader:
-     pass once none is left. It runs after the write's list insertion,
-     so the wait for the reader's critical section overlaps the insert
-     walk instead of preceding it. A blocking op parks on [rwait] (every
-     fast-read release or retract wakes by overlap) and a timed op polls
-     until its deadline. Fast readers never block, so this edge cannot
-     close a wait-for cycle. *)
-  let rbias_gate t ~deadline_ns r =
+  (* The writer's slot gate, run after [wbias_up] and before the write
+     inserts anywhere: pass once no published fast reader overlaps
+     [lo, hi). A blocking op parks on [rwait] (every fast-read release or
+     retract wakes by overlap), a try makes one sweep, and a timed op
+     polls until its deadline. The gate holds no list node while it
+     waits, and fast readers never block, so this edge cannot close a
+     wait-for cycle. *)
+  let rbias_gate t ~blocking ~deadline_ns r =
     let lo = Range.lo r and hi = Range.hi r in
     rbias_clear t ~lo ~hi
-    ||
-    if deadline_ns = max_int then begin
-      ignore (W.wait t.rwait ~lo ~hi (fun () -> rbias_clear t ~lo ~hi));
-      true
-    end
-    else begin
-      Sim.wait_until (fun () ->
-          rbias_clear t ~lo ~hi || Clock.now_ns () >= deadline_ns);
-      rbias_clear t ~lo ~hi
-    end
+    || blocking
+       &&
+       if deadline_ns = max_int then begin
+         ignore (W.wait t.rwait ~lo ~hi (fun () -> rbias_clear t ~lo ~hi));
+         true
+       end
+       else begin
+         Sim.wait_until (fun () ->
+             rbias_clear t ~lo ~hi || Clock.now_ns () >= deadline_ns);
+         rbias_clear t ~lo ~hi
+       end
 
   (* The narrow path's half: after inserting into its shards, a narrow op
      must prove no granted g holder conflicts. Non-blocking — on conflict
@@ -701,8 +697,8 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       B.release t.shards.(i) sub;
       release_subs t rest
 
-  let release_grant t h =
-    match h.grant with
+  let release t h =
+    (match h.grant with
      | Single i ->
        B.release t.shards.(i) h.sh;
        narrow_done t
@@ -717,10 +713,7 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
        let lo = s.b_lo and hi = s.b_hi in
        slot_free s;
        ignore (W.wake_overlap t.rwait ~lo ~hi)
-     | Free -> invalid_arg "Adaptive_rw.release: handle already released"
-
-  let release t h =
-    release_grant t h;
+     | Free -> invalid_arg "Adaptive_rw.release: handle already released");
     wbias_down t h.role;
     h.grant <- Free;
     h.sh <- no_sub
@@ -833,19 +826,9 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
     end
 
   (* Readers first try the biased fast path. Writers publish their range
-     ([wbias_up]: their writer slot, or [w_live]) and sweep the reader
-     slots once before inserting anywhere. A clear sweep is the common
-     case and the write needs no further check. A try that meets an
-     overlapping fast reader fails there, holding no node. A blocking
-     or timed write inserts anyway and then waits out the reader at the
-     slot gate, as it would wait out an overlapping list reader's node;
-     a gate that times out releases the grant. The Dekker argument only
-     needs the publication to precede the sweep that passes. Waiting
-     before the insertion instead put the whole insert walk behind the
-     reader's critical section: on arr-contended, where about half the
-     reads are fast, adaptive-rw's write p99 read 1.08x the
-     range-unaware bias's that way, against 1.02x with the wait after
-     the insertion (doc/perf.md).
+     ([wbias_up]: their writer slot, or [w_live]) and pass the slot gate
+     before inserting anywhere: a try fails against an overlapping fast
+     reader, a blocking or timed write waits it out holding no node.
      Holding the publication through the grant and the critical section
      keeps new overlapping fast readers out; release undoes it after the
      nodes are marked, and a failed op undoes it here.
@@ -864,12 +847,9 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
       if reader then as_reader else if wbias then wbias_up t r else as_wlive
     in
     let fast = if reader && t.rbias then rbias_try t r else failed in
-    let gated =
-      wbias && not (rbias_clear t ~lo:(Range.lo r) ~hi:(Range.hi r))
-    in
     let h =
       if fast != failed then fast
-      else if gated && not blocking then failed
+      else if wbias && not (rbias_gate t ~blocking ~deadline_ns r) then failed
       else if regime_bit (Sim.A.get t.mode) = 1 then begin
         if sampled t then decide t ~wide_op:(wide_of t r);
         acquire_g t ~role ~blocking ~deadline_ns r
@@ -882,13 +862,6 @@ module Make (Sim : Traced_atomic.SIM) (B : BACKEND) () = struct
         if wide_op then acquire_g t ~role ~blocking ~deadline_ns r
         else acquire_narrow t ~role ~blocking ~deadline_ns r ~first ~last
       end
-    in
-    let h =
-      if gated && h != failed && not (rbias_gate t ~deadline_ns r) then begin
-        release_grant t h;
-        failed
-      end
-      else h
     in
     if h == failed then begin
       wbias_down t role;

@@ -787,6 +787,42 @@ let adaptive_rbias_alias =
       { Explore.fibers = [| reader 0 2; reader 2 4; writer |];
         check = oracle_check r })
 
+(* A gated writer must hold no list node. The reader fiber holds a fast
+   read [0,8) and then takes a nested read [10,14): its own reader slot
+   is held, so the nested read goes through the list. The writer [4,12)
+   overlaps both. When its reader-slot sweep meets the fast read it
+   waits at the slot gate, and the nested read must still be granted,
+   or neither fiber can move: a writer that inserted its node before
+   waiting at the gate is granted (the fast read has no node to meet),
+   the nested read waits on that node, and the writer waits on the fast
+   read the nested read's fiber still holds — the explorer reports that
+   schedule as a deadlock. *)
+let adaptive_rbias_nested =
+  scenario "adaptive-rbias-nested" ~bound:3 ~max_steps:120_000 (fun () ->
+      let module S = Adaptive_stack () in
+      let lock = S.AD.create ~shards:1 ~space:16 ~sample_every:0 () in
+      let r = recorder () in
+      let reader () =
+        let h1 = S.AD.read_acquire lock (range 0 8) in
+        let s1 = acquired r ~lock:"ad" ~mode:Lockstat.Read ~lo:0 ~hi:8 in
+        let h2 = S.AD.read_acquire lock (range 10 14) in
+        let s2 = acquired r ~lock:"ad" ~mode:Lockstat.Read ~lo:10 ~hi:14 in
+        Sched.note "reader holds [0,8) and [10,14)";
+        released r ~lock:"ad" ~mode:Lockstat.Read ~span:s2 ~lo:10 ~hi:14;
+        S.AD.release lock h2;
+        released r ~lock:"ad" ~mode:Lockstat.Read ~span:s1 ~lo:0 ~hi:8;
+        S.AD.release lock h1
+      in
+      let writer () =
+        let h = S.AD.write_acquire lock (range 4 12) in
+        let span = acquired r ~lock:"ad" ~mode:Lockstat.Write ~lo:4 ~hi:12 in
+        Sched.note "writer holds [4,12)";
+        Sched.pause ();
+        released r ~lock:"ad" ~mode:Lockstat.Write ~span ~lo:4 ~hi:12;
+        S.AD.release lock h
+      in
+      { Explore.fibers = [| reader; writer |]; check = oracle_check r })
+
 (* Writer-slot aliasing: [rslot_count:1] pins every fiber onto one
    reader slot and one writer slot. The two writers [0,1) and [2,3) are
    disjoint, so both can be granted at once; whichever claims the writer
@@ -833,7 +869,8 @@ let all =
     skip_tower_race;
     adaptive_switch_race; adaptive_narrow_drain; adaptive_narrow_drain_fast;
     adaptive_narrow_try; adaptive_disjoint_park; adaptive_disjoint_park_fast;
-    adaptive_reader_bias; adaptive_rbias_alias; adaptive_wslot_alias ]
+    adaptive_reader_bias; adaptive_rbias_alias; adaptive_rbias_nested;
+    adaptive_wslot_alias ]
 
 let run t =
   Explore.explore ~bound:t.bound ~max_steps:t.max_steps t.scen

@@ -21,9 +21,8 @@ module A = Rlk_adaptive.Adaptive_rw
      publishes its range in its own writer slot instead and touches
      [w_live] only when that slot is held, but it still sweeps the
      reader slots, and every probing read sweeps the writer slots once
-     or twice; the
-     bias-on configuration has not been measured against this one
-     since. *)
+     or twice; the bias-on configuration has not been measured against
+     this one since. *)
 
 type t = A.t
 

@@ -381,9 +381,9 @@ let test_reader_bias_fast_path () =
   (match A.try_write_acquire t (range 32 40) with
    | Some h -> A.release t h
    | None -> Alcotest.fail "disjoint try_write must grant past the slot");
-  (* A timed overlapping write inserts, then waits for the fast reader
-     at the slot gate; on expiry it releases the node it inserted and
-     frees its writer slot. *)
+  (* A timed overlapping write waits for the fast reader at the slot
+     gate before inserting anywhere; on expiry it frees its writer slot
+     and leaves no node. *)
   Alcotest.(check bool) "timed write expires at the slot gate" true
     (A.write_acquire_opt t
        ~deadline_ns:(Clock.now_ns () + 20_000_000)
@@ -440,6 +440,42 @@ let test_reader_bias_blocking_writer () =
   A.release t hr;
   Domain.join d;
   Alcotest.(check bool) "writer granted after the release" true
+    (Atomic.get granted)
+
+(* A writer waiting at the slot gate holds no list node. This domain
+   holds a fast read [0,32) and then takes a nested read [40,44): its
+   reader slot is held, so the nested read goes through the list. The
+   writer [16,48), gated by the fast read, overlaps the nested read too;
+   had it inserted before waiting, the nested read would wait on its
+   node and neither domain could move. The nested read is timed so such
+   a deadlock fails the case instead of hanging it. *)
+let test_reader_bias_gate_holds_no_node () =
+  let t = A.create ~shards:4 ~space:64 ~sample_every:0 () in
+  let hr = A.read_acquire t (range 0 32) in
+  Alcotest.(check int) "reader went fast" 1 (A.snapshot t).A.s_fast_reads;
+  let granted = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let h = A.write_acquire t (range 16 48) in
+        Atomic.set granted true;
+        A.release t h)
+  in
+  Unix.sleepf 0.05;
+  let gated = not (Atomic.get granted) in
+  let holders = List.length (A.holders t) in
+  let nested =
+    A.read_acquire_opt t
+      ~deadline_ns:(Clock.now_ns () + 2_000_000_000)
+      (range 40 44)
+  in
+  Option.iter (A.release t) nested;
+  A.release t hr;
+  Domain.join d;
+  Alcotest.(check bool) "writer held out by the fast reader" true gated;
+  Alcotest.(check int) "the gated writer holds no node" 1 holders;
+  Alcotest.(check bool) "nested list read granted past the gated writer"
+    true (nested <> None);
+  Alcotest.(check bool) "writer granted after the releases" true
     (Atomic.get granted)
 
 let test_reader_bias_aliased_slot () =
@@ -783,6 +819,8 @@ let () =
             test_reader_bias_disabled;
           Alcotest.test_case "blocking writer parks on a fast reader"
             `Quick test_reader_bias_blocking_writer;
+          Alcotest.test_case "gated writer holds no node" `Quick
+            test_reader_bias_gate_holds_no_node;
           Alcotest.test_case "aliased slot loses the claim CAS" `Quick
             test_reader_bias_aliased_slot;
           Alcotest.test_case "disjoint writer leaves reads fast" `Quick
